@@ -1,17 +1,17 @@
 //! Experiment `lanes`: cross-checking the engine's simulation lanes.
 //!
-//! Not a figure of the paper — an engineering experiment guarding the
-//! refactor that introduced incremental frontier stepping and the
-//! bit-packed two-colour lane.  For every torus kind it describes the same
-//! bi-coloured prefer-black workload (the paper's baseline rule, chosen
-//! because it is non-monotone and keeps the frontier moving) as a
-//! [`RunSpec`] and executes it under all three [`LaneSpec`] policies:
+//! Not a figure of the paper — an engineering experiment guarding
+//! incremental frontier stepping and the bit-plane lane.  For every torus
+//! kind it describes the same bi-coloured prefer-black workload (the
+//! paper's baseline rule, chosen because it is non-monotone, keeps the
+//! frontier moving and exercises the lane's tie mask) as a [`RunSpec`]
+//! and executes it under all three [`LaneSpec`] policies:
 //!
-//! * the **packed lane** ([`LaneSpec::Auto`]: two colours + a
-//!   [`ctori_protocols::TwoStateThreshold`]-capable rule);
+//! * the **bit-plane lane** ([`LaneSpec::Auto`]: a degree-4 torus + a
+//!   [`ctori_protocols::ColorCountRule`]-capable rule);
 //! * the **generic frontier** ([`LaneSpec::GenericFrontier`]);
-//! * the **full sweep** ([`LaneSpec::FullSweep`], the PR-1 exhaustive
-//!   stepper kept as fallback).
+//! * the **full sweep** ([`LaneSpec::FullSweep`], the exhaustive
+//!   reference stepper).
 //!
 //! The whole `(kind × size × lane)` grid fans out in **one**
 //! [`Runner::sweep`] call, so the experiment also demonstrates the batch
@@ -34,7 +34,7 @@ const LANES: [LaneSpec; 3] = [
 
 /// The bi-coloured prefer-black workload for one torus cell, as a spec:
 /// a black square block (grows) plus a lone black vertex (is erased), so
-/// both flip directions of the packed lane are exercised.
+/// both flip directions are exercised.
 fn cell_spec(kind: TorusKind, size: usize, lane: LaneSpec) -> RunSpec {
     let torus = Torus::new(kind, size, size);
     let mut builder = ColoringBuilder::filled(&torus, Color::WHITE);
@@ -56,7 +56,7 @@ fn cell_spec(kind: TorusKind, size: usize, lane: LaneSpec) -> RunSpec {
 struct LaneOutcome {
     kind: TorusKind,
     size: usize,
-    packed_selected: bool,
+    planes_selected: bool,
     agree: bool,
     termination: Termination,
     rounds: usize,
@@ -68,12 +68,12 @@ fn summarize(kind: TorusKind, size: usize, outcomes: &[RunOutcome]) -> LaneOutco
         o.termination == auto.termination
             && o.rounds == auto.rounds
             && o.final_coloring == auto.final_coloring
-            && !o.used_packed_lane
+            && !o.used_plane_lane
     });
     LaneOutcome {
         kind,
         size,
-        packed_selected: auto.used_packed_lane,
+        planes_selected: auto.used_plane_lane,
         agree,
         termination: auto.termination,
         rounds: auto.rounds,
@@ -88,7 +88,7 @@ impl Experiment for EngineLanes {
         "lanes"
     }
     fn title(&self) -> &'static str {
-        "Engine lanes: packed two-colour, generic frontier and full sweep agree on every torus"
+        "Engine lanes: bit-plane, generic frontier and full sweep agree on every torus"
     }
     fn run(&self, mode: Mode) -> ExperimentRecord {
         let sizes: Vec<usize> = match mode {
@@ -113,17 +113,17 @@ impl Experiment for EngineLanes {
 
         let mut table = Table::new(vec![
             "torus",
-            "packed lane selected",
+            "plane lane selected",
             "lanes agree",
             "termination",
             "rounds",
         ]);
         let mut passed = true;
         for o in &outcomes {
-            passed &= o.agree && o.packed_selected;
+            passed &= o.agree && o.planes_selected;
             table.add_row(vec![
                 format!("{} {}x{}", o.kind, o.size, o.size),
-                o.packed_selected.to_string(),
+                o.planes_selected.to_string(),
                 o.agree.to_string(),
                 format!("{:?}", o.termination),
                 o.rounds.to_string(),
@@ -134,12 +134,12 @@ impl Experiment for EngineLanes {
             id: self.id(),
             title: self.title(),
             paper_claim: "Engineering invariant (no paper claim): the incremental frontier \
-                          scheduler and the bit-packed two-colour lane are exact optimisations \
-                          of the synchronous full-sweep semantics."
+                          scheduler and the bit-plane lane are exact optimisations of the \
+                          synchronous full-sweep semantics."
                 .into(),
             table,
             observations: vec![
-                "the packed lane is auto-selected for every bi-coloured prefer-black run; all \
+                "the plane lane is auto-selected for every bi-coloured prefer-black run; all \
                  three data paths terminate identically with identical final configurations.  \
                  The whole (kind x size x lane) grid executes as one Runner::sweep batch."
                     .into(),

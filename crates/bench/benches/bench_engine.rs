@@ -177,9 +177,9 @@ fn sparse_smp_seed(torus: &Torus, blocks: usize, singles: usize) -> Coloring {
     builder.build()
 }
 
-/// The tentpole acceptance comparison: the frontier scheduler plus the
-/// bit-packed two-colour lane versus the PR-1 full-sweep CSR stepper, on
-/// a 512×512 toroidal mesh under the SMP-Protocol seeded with <= 1% black
+/// The frontier acceptance comparison: the bit-plane lane's word-granular
+/// frontier versus the full-sweep CSR stepper on the generic lane, on a
+/// 512×512 toroidal mesh under the SMP-Protocol seeded with <= 1% black
 /// vertices.  Both steppers run the same number of rounds from the same
 /// initial configuration and must end in the same state; the frontier
 /// path must be at least 2× faster (in practice it is orders of magnitude
@@ -204,10 +204,10 @@ fn bench_frontier_vs_full_sweep(c: &mut Criterion) {
     // same `rounds` rounds from the same seed (reusing one stepped
     // simulator would leave the frontier side measuring an already-frozen
     // state).
-    group.bench_function("frontier_packed", |b| {
+    group.bench_function("frontier_planes", |b| {
         b.iter(|| {
             let mut sim = Simulator::new(&torus, SmpProtocol, coloring.clone());
-            assert!(sim.uses_packed_lane());
+            assert!(sim.uses_plane_lane());
             for _ in 0..rounds {
                 black_box(sim.step());
             }
@@ -228,7 +228,10 @@ fn bench_frontier_vs_full_sweep(c: &mut Criterion) {
     // Direct ratio measurement with an equivalence check: both steppers
     // execute the same `rounds` synchronous rounds from the same seed.
     let mut frontier = Simulator::new(&torus, SmpProtocol, coloring.clone());
-    assert!(frontier.uses_packed_lane(), "SMP on two colours must pack");
+    assert!(
+        frontier.uses_plane_lane(),
+        "SMP on two colours must take the plane lane"
+    );
     let start = Instant::now();
     for _ in 0..rounds {
         black_box(frontier.step());
@@ -247,17 +250,17 @@ fn bench_frontier_vs_full_sweep(c: &mut Criterion) {
     assert_eq!(
         frontier.snapshot(),
         full.snapshot(),
-        "the frontier+packed lane must reproduce the full-sweep state exactly"
+        "the plane-lane frontier must reproduce the full-sweep state exactly"
     );
     let speedup = full_time.as_secs_f64() / frontier_time.as_secs_f64();
     println!(
         "frontier_vs_full_sweep (512x512 toroidal mesh, SMP, {seed_count} seeds, {rounds} rounds): \
-         frontier+packed {:.2?}, full sweep {:.2?}, speedup {speedup:.1}x",
+         frontier+planes {:.2?}, full sweep {:.2?}, speedup {speedup:.1}x",
         frontier_time, full_time,
     );
     assert!(
         speedup >= 2.0,
-        "frontier+packed stepper must be >= 2x the full-sweep CSR stepper, got {speedup:.2}x"
+        "frontier+planes stepper must be >= 2x the full-sweep CSR stepper, got {speedup:.2}x"
     );
 }
 
@@ -279,7 +282,7 @@ fn bench_frontier_threshold_growth(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("engine/frontier_vs_full_sweep_threshold_512x512");
     group.sample_size(10);
-    group.bench_function("frontier_packed", |b| {
+    group.bench_function("frontier_planes", |b| {
         b.iter(|| {
             let mut sim = Simulator::new(&torus, ThresholdRule::new(k, 2), coloring.clone());
             for _ in 0..rounds {

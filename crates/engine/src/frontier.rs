@@ -1,29 +1,19 @@
-//! The incremental frontier scheduler and the bit-packed two-colour lane.
+//! The incremental frontier scheduler.
 //!
-//! Every local rule (see [`ctori_protocols::LocalRule::is_local`]) has the
-//! property that a vertex can only change colour in round `t + 1` if it or
-//! one of its neighbours changed in round `t`.  The simulator exploits this
-//! by evaluating, after the first full round, **only the candidate set**
-//! — last round's changed vertices and their out-neighbours — instead of
-//! all `|V|` vertices.  On the paper's workloads (small seed sets spreading
-//! through a large torus) the candidate set is a thin moving frontier, so
-//! the per-round cost drops from `O(|V|)` to `O(|frontier| · Δ)`.
+//! Every rule in the workspace is local: a vertex can only change colour
+//! in round `t + 1` if it or one of its neighbours changed in round `t`.
+//! The simulator exploits this by evaluating, after the first full round,
+//! **only the candidate set** — last round's changed vertices and their
+//! out-neighbours — instead of all `|V|` vertices.  On the paper's
+//! workloads (small seed sets spreading through a large torus) the
+//! candidate set is a thin moving frontier, so the per-round cost drops
+//! from `O(|V|)` to `O(|frontier| · Δ)`.
 //!
-//! Two pieces live here:
-//!
-//! * `Worklist` (crate-private) — the round-stamped candidate dedup shared by both state
-//!   backends.  Deduplication uses a `Vec<u32>` of round tags instead of a
-//!   hash set: marking a vertex is one array compare-and-write, and
-//!   clearing between rounds is a single counter increment.
-//! * [`PackedFrontier`] — the two-colour fast lane: state as one bit per
-//!   vertex in `u64` words, per-vertex up/down flip thresholds, and a
-//!   candidate evaluator that counts neighbour bits straight out of the
-//!   packed words.  It is the shared substrate of the engine's packed
-//!   simulator backend **and** of `ctori_tss::diffusion::spread_on`, which
-//!   is a thin wrapper over it.
-
-use crate::parallel::{band_ranges, run_bands};
-use ctori_topology::Adjacency;
+//! `Worklist` is the round-stamped candidate dedup shared by the generic
+//! backend (vertex indices) and the bit-plane lane (word indices).
+//! Deduplication uses a `Vec<u32>` of round tags instead of a hash set:
+//! marking an index is one array compare-and-write, and clearing between
+//! rounds is a single counter increment.
 
 /// A round-stamped worklist of candidate vertices.
 ///
@@ -32,8 +22,8 @@ use ctori_topology::Adjacency;
 /// first round after construction is always a **full sweep** (every vertex
 /// is a candidate — nothing has been evaluated yet); callers may also pin
 /// the worklist to full sweeps permanently with [`Worklist::set_always_full`],
-/// which is the engine's fallback for non-local rules and the baseline mode
-/// of the frontier benchmarks.
+/// the full-sweep reference mode of the equivalence tests and the frontier
+/// benchmarks.
 #[derive(Clone, Debug)]
 pub(crate) struct Worklist {
     current: Vec<u32>,
@@ -103,397 +93,5 @@ impl Worklist {
     pub(crate) fn finish_round(&mut self) {
         std::mem::swap(&mut self.current, &mut self.next);
         self.full_pending = false;
-    }
-}
-
-/// The bit-packed two-colour frontier stepper.
-///
-/// State is one bit per vertex ("one" = 1, "zero" = 0) packed into `u64`
-/// words; the engine maps a concrete colour pair onto the bits.  Each
-/// vertex carries two flip thresholds resolved once at construction (see
-/// [`ctori_protocols::TwoStateThreshold::flip_thresholds`]):
-///
-/// * a zero vertex flips to one when at least `up[v]` of its neighbours
-///   are one;
-/// * a one vertex flips to zero when at least `down[v]` of its neighbours
-///   are zero.
-///
-/// `u32::MAX` disables a direction (monotone processes).  Stepping is
-/// synchronous and incremental: candidates are evaluated against the
-/// pre-round state by popcount-style bit gathering over the CSR, flips are
-/// applied afterwards, and the flipped vertices plus their out-neighbours
-/// become the next candidates.  The adjacency is passed to
-/// [`PackedFrontier::step`] rather than owned, so one CSR can serve many
-/// concurrent lanes.
-#[derive(Clone, Debug)]
-pub struct PackedFrontier {
-    words: Vec<u64>,
-    len: usize,
-    up: Vec<u32>,
-    down: Vec<u32>,
-    worklist: Worklist,
-    flips: Vec<u32>,
-    ones: usize,
-    /// Step-parallelism: vertex (full rounds) or candidate (frontier
-    /// rounds) ranges are chunked into this many bands.
-    threads: usize,
-    /// Reused per-band flip buffers; their band-order concatenation is
-    /// exactly the sequential flip order.
-    band_flips: Vec<Vec<u32>>,
-    /// Bands of the last step that ran the full sweep.
-    last_dense_bands: u32,
-    /// Bands of the last step that walked the candidate list.
-    last_sparse_bands: u32,
-    /// Vertices evaluated by the last step.
-    last_cells_evaluated: u64,
-}
-
-impl PackedFrontier {
-    /// Creates an all-zero lane with the given per-vertex flip thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the threshold vectors do not have one entry per vertex.
-    pub fn new(node_count: usize, up: Vec<u32>, down: Vec<u32>) -> Self {
-        assert_eq!(up.len(), node_count, "one up-threshold per vertex");
-        assert_eq!(down.len(), node_count, "one down-threshold per vertex");
-        PackedFrontier {
-            words: vec![0u64; node_count.div_ceil(64)],
-            len: node_count,
-            up,
-            down,
-            worklist: Worklist::new(node_count),
-            flips: Vec::new(),
-            ones: 0,
-            threads: 1,
-            band_flips: Vec::new(),
-            last_dense_bands: 0,
-            last_sparse_bands: 0,
-            last_cells_evaluated: 0,
-        }
-    }
-
-    /// `(dense bands, sparse bands, cells evaluated)` of the last step.
-    pub(crate) fn last_step_profile(&self) -> (u32, u32, u64) {
-        (
-            self.last_dense_bands,
-            self.last_sparse_bands,
-            self.last_cells_evaluated,
-        )
-    }
-
-    /// Sets the number of band workers [`PackedFrontier::step`] uses.
-    ///
-    /// Values are clamped to at least 1.  Workers evaluate word-aligned
-    /// vertex bands (full rounds) or candidate-list chunks (frontier
-    /// rounds) against the frozen pre-round words into band-local flip
-    /// buffers, whose band-order concatenation reproduces the sequential
-    /// flip order exactly — a pure throughput knob.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Number of vertices.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the lane has no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Sets vertex `v` to one (seeding; call before the first step).
-    pub fn set_one(&mut self, v: usize) {
-        assert!(v < self.len, "vertex out of range");
-        let mask = 1u64 << (v & 63);
-        let word = &mut self.words[v >> 6];
-        if *word & mask == 0 {
-            *word |= mask;
-            self.ones += 1;
-        }
-    }
-
-    /// Whether vertex `v` is currently one.
-    #[inline]
-    pub fn is_one(&self, v: usize) -> bool {
-        (self.words[v >> 6] >> (v & 63)) & 1 == 1
-    }
-
-    /// Number of one-valued vertices.
-    pub fn ones(&self) -> usize {
-        self.ones
-    }
-
-    /// The vertices flipped by the last [`PackedFrontier::step`] call.
-    pub fn flips(&self) -> &[u32] {
-        &self.flips
-    }
-
-    /// Pins every future round to a full sweep (the benchmark baseline and
-    /// the fallback for non-local rules).
-    pub fn set_always_full(&mut self) {
-        self.worklist.set_always_full();
-    }
-
-    /// The packed state words (bit `v & 63` of word `v >> 6` is vertex
-    /// `v`); trailing bits beyond `len` are zero.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    #[inline]
-    fn bit(words: &[u64], v: u32) -> u32 {
-        ((words[(v >> 6) as usize] >> (v & 63)) & 1) as u32
-    }
-
-    /// Decides whether candidate `v` flips, evaluating against the
-    /// pre-round words.
-    #[inline]
-    fn evaluate(&self, adjacency: &Adjacency, v: u32) -> bool {
-        let neighbors = adjacency.neighbors_raw(v as usize);
-        // Gather the neighbour bits into a word and popcount it: for the
-        // paper's degree-4 tori this is four shifts, an OR-accumulate and
-        // one count_ones, with no colour comparisons at all.
-        let ones = if neighbors.len() <= 64 {
-            let mut gathered = 0u64;
-            for (i, &u) in neighbors.iter().enumerate() {
-                gathered |= u64::from(Self::bit(&self.words, u)) << i;
-            }
-            gathered.count_ones()
-        } else {
-            // Hubs beyond 64 neighbours (general TSS graphs) fall back to
-            // an additive count.
-            neighbors
-                .iter()
-                .map(|&u| Self::bit(&self.words, u))
-                .sum::<u32>()
-        };
-        if Self::bit(&self.words, v) == 0 {
-            ones >= self.up[v as usize]
-        } else {
-            let zeros = neighbors.len() as u32 - ones;
-            zeros >= self.down[v as usize]
-        }
-    }
-
-    /// Executes one synchronous round and returns the number of flips.
-    ///
-    /// The first round after construction evaluates every vertex; later
-    /// rounds evaluate only the frontier candidates.  The flipped vertices
-    /// are available through [`PackedFrontier::flips`] until the next step.
-    pub fn step(&mut self, adjacency: &Adjacency) -> usize {
-        assert_eq!(
-            adjacency.node_count(),
-            self.len,
-            "adjacency does not match the lane"
-        );
-        self.flips.clear();
-        let full = self.worklist.is_full_round();
-        self.last_cells_evaluated = if full {
-            self.len as u64
-        } else {
-            self.worklist.candidates().len() as u64
-        };
-        if self.threads == 1 {
-            (self.last_dense_bands, self.last_sparse_bands) = if full { (1, 0) } else { (0, 1) };
-            // Sequential fast path: evaluate straight into `flips`, no
-            // band bookkeeping.  The worklist's candidate list is read
-            // while `evaluate` only touches the packed words, so iterate
-            // by index to keep the borrows disjoint.
-            if full {
-                for v in 0..self.len as u32 {
-                    if self.evaluate(adjacency, v) {
-                        self.flips.push(v);
-                    }
-                }
-            } else {
-                for i in 0..self.worklist.candidates().len() {
-                    let v = self.worklist.candidates()[i];
-                    if self.evaluate(adjacency, v) {
-                        self.flips.push(v);
-                    }
-                }
-            }
-        } else {
-            // Band-parallel evaluation against the frozen pre-round
-            // words: full rounds split the vertex range on word
-            // boundaries (popcount rows per band), frontier rounds chunk
-            // the candidate list.  Concatenating the band buffers in
-            // band order reproduces the sequential flip order exactly.
-            let ranges = if full {
-                band_ranges(self.len, self.threads, 64)
-            } else {
-                band_ranges(self.worklist.candidates().len(), self.threads, 1)
-            };
-            (self.last_dense_bands, self.last_sparse_bands) = if full {
-                (ranges.len() as u32, 0)
-            } else {
-                (0, ranges.len() as u32)
-            };
-            let mut band_flips = std::mem::take(&mut self.band_flips);
-            band_flips.resize_with(ranges.len(), Vec::new);
-            for buffer in &mut band_flips {
-                buffer.clear();
-            }
-            let lane = &*self;
-            run_bands(&ranges, &mut band_flips, |_band, start, end, out| {
-                if full {
-                    for v in start..end {
-                        let v = v as u32;
-                        if lane.evaluate(adjacency, v) {
-                            out.push(v);
-                        }
-                    }
-                } else {
-                    for &v in &lane.worklist.candidates()[start..end] {
-                        if lane.evaluate(adjacency, v) {
-                            out.push(v);
-                        }
-                    }
-                }
-            });
-            for buffer in &band_flips {
-                self.flips.extend_from_slice(buffer);
-            }
-            self.band_flips = band_flips;
-        }
-        // Apply after evaluating everything: synchronous semantics.
-        for &v in &self.flips {
-            let mask = 1u64 << (v & 63);
-            let word = &mut self.words[(v >> 6) as usize];
-            if *word & mask == 0 {
-                self.ones += 1;
-            } else {
-                self.ones -= 1;
-            }
-            *word ^= mask;
-        }
-        self.worklist.begin_next();
-        if !self.worklist.always_full() {
-            for i in 0..self.flips.len() {
-                let v = self.flips[i];
-                self.worklist.mark(v);
-                for &u in adjacency.neighbors_raw(v as usize) {
-                    self.worklist.mark(u);
-                }
-            }
-        }
-        self.worklist.finish_round();
-        self.flips.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ctori_topology::{toroidal_mesh, Graph, NodeId};
-
-    const NEVER: u32 = u32::MAX;
-
-    #[test]
-    fn threshold_one_sweeps_a_path() {
-        let mut g = Graph::with_nodes(5);
-        for i in 0..4 {
-            g.add_edge(NodeId::new(i), NodeId::new(i + 1));
-        }
-        let adjacency = Adjacency::build(&g);
-        let mut lane = PackedFrontier::new(5, vec![1; 5], vec![NEVER; 5]);
-        lane.set_one(0);
-        let mut rounds = 0;
-        while lane.step(&adjacency) > 0 {
-            rounds += 1;
-            assert_eq!(lane.flips().len(), 1, "one vertex activates per round");
-        }
-        assert_eq!(rounds, 4);
-        assert_eq!(lane.ones(), 5);
-        assert!((0..5).all(|v| lane.is_one(v)));
-    }
-
-    #[test]
-    fn frontier_and_full_sweep_agree() {
-        let t = toroidal_mesh(8, 9);
-        let adjacency = Adjacency::from_torus(&t);
-        let n = adjacency.node_count();
-        // Strict-majority flip thresholds in both directions (two-colour
-        // SMP): seed a 3x3 block and step both schedulers in lockstep.
-        let build = |always_full: bool| {
-            let mut lane = PackedFrontier::new(n, vec![3; n], vec![3; n]);
-            for r in 2..5 {
-                for c in 2..5 {
-                    lane.set_one(r * 9 + c);
-                }
-            }
-            if always_full {
-                lane.set_always_full();
-            }
-            lane
-        };
-        let mut frontier = build(false);
-        let mut full = build(true);
-        for round in 0..20 {
-            let a = frontier.step(&adjacency);
-            let b = full.step(&adjacency);
-            assert_eq!(a, b, "flip counts diverge at round {round}");
-            assert_eq!(
-                frontier.words(),
-                full.words(),
-                "states diverge at round {round}"
-            );
-        }
-    }
-
-    #[test]
-    fn band_parallel_flip_order_matches_sequential() {
-        let t = toroidal_mesh(9, 11);
-        let adjacency = Adjacency::from_torus(&t);
-        let n = adjacency.node_count();
-        let build = || {
-            let mut lane = PackedFrontier::new(n, vec![2; n], vec![3; n]);
-            for v in [0, 5, 23, 24, 25, 36, 50, 51, 62, 80, 98] {
-                lane.set_one(v);
-            }
-            lane
-        };
-        for threads in [2, 3, 8] {
-            let mut seq = build();
-            let mut par = build();
-            par.set_threads(threads);
-            for round in 0..15 {
-                let a = seq.step(&adjacency);
-                let b = par.step(&adjacency);
-                assert_eq!(a, b, "threads={threads}: flip counts diverge at {round}");
-                assert_eq!(
-                    seq.flips(),
-                    par.flips(),
-                    "threads={threads}: flip order diverges at {round}"
-                );
-                assert_eq!(seq.words(), par.words());
-                assert_eq!(seq.ones(), par.ones());
-            }
-        }
-    }
-
-    #[test]
-    fn zero_threshold_fires_on_the_first_full_round() {
-        let g = Graph::with_nodes(3);
-        let adjacency = Adjacency::build(&g);
-        let mut lane = PackedFrontier::new(3, vec![0; 3], vec![NEVER; 3]);
-        assert_eq!(lane.step(&adjacency), 3, "everything self-activates");
-        assert_eq!(lane.step(&adjacency), 0);
-    }
-
-    #[test]
-    fn down_thresholds_erode_isolated_ones() {
-        let t = toroidal_mesh(6, 6);
-        let adjacency = Adjacency::from_torus(&t);
-        let n = adjacency.node_count();
-        let mut lane = PackedFrontier::new(n, vec![3; n], vec![3; n]);
-        lane.set_one(14); // a lone one: 4 zero neighbours >= 3, it flips back
-        assert_eq!(lane.step(&adjacency), 1);
-        assert_eq!(lane.ones(), 0);
-        assert_eq!(lane.flips(), &[14]);
-        // Nothing left to do: the frontier drains.
-        assert_eq!(lane.step(&adjacency), 0);
     }
 }

@@ -11,16 +11,14 @@
 //!   [`ctori_topology::Topology`] and any [`ctori_protocols::LocalRule`],
 //!   flattened onto the shared [`ctori_topology::Adjacency`] CSR kernel.
 //!   After the first round only the *frontier* (last round's changed
-//!   vertices and their out-neighbours) is re-evaluated, and qualifying
-//!   runs are routed onto bit kernels: two-colour runs of rules with a
-//!   [`ctori_protocols::TwoStateThreshold`] form onto a bit-packed lane
-//!   ([`frontier::PackedFrontier`]) that counts neighbours by popcount,
-//!   and 3–16-colour runs of rules with a
-//!   [`ctori_protocols::ColorCountRule`] form onto the multi-colour
-//!   bit-plane lane ([`planes::PlaneLane`]) that evaluates 64 vertices
-//!   per word; the per-round loop allocates nothing in any lane;
+//!   vertices and their out-neighbours) is re-evaluated, and torus runs
+//!   of up to 16 colours whose rule has a
+//!   [`ctori_protocols::ColorCountRule`] form are routed onto the
+//!   bit-plane lane ([`planes::PlaneLane`]), which evaluates 64 vertices
+//!   per word (one plane for one or two colours); per round, the loop
+//!   allocates only the band scheduler's small bookkeeping vectors;
 //! * [`state`] — the [`state::StateVec`] backends behind the simulator
-//!   (generic colour vector vs. packed bitset vs. bit planes);
+//!   (generic colour vector vs. bit planes);
 //! * [`RunConfig`] / [`RunReport`] / [`Termination`] — run-to-convergence
 //!   with fixed-point detection, optional cycle detection, optional
 //!   monotonicity tracking and optional per-vertex recolouring times (the
@@ -98,9 +96,8 @@
 #![warn(rust_2018_idioms)]
 #![deny(unsafe_code)]
 
-pub mod adjacency;
 pub mod exec;
-pub mod frontier;
+mod frontier;
 pub mod metrics;
 #[cfg(feature = "naive-baseline")]
 pub mod naive;
@@ -115,12 +112,10 @@ pub mod sweep;
 pub mod telemetry;
 pub mod trace;
 
-pub use adjacency::Adjacency;
 pub use exec::{
     ExecError, Executor, JobControl, JobHandle, JobState, JobStatus, LocalExecutor,
     LocalExecutorConfig, OutcomeCache, PoolStats, Priority, RunEvent, SubmitOptions,
 };
-pub use frontier::PackedFrontier;
 pub use metrics::{round_histogram, ColorHistogram, RoundStats, StepStats};
 pub use observe::{HistogramObserver, NullObserver, Observer, StepView, TraceObserver};
 pub use parallel::{band_ranges, run_bands};

@@ -17,8 +17,7 @@ use ctori_protocols::LocalRule;
 /// Every [`crate::Simulator::step`] adds one round and the band-level
 /// decisions its lane made: how many row bands ran the full dense sweep,
 /// how many walked the sparse worklist, and how many vertex evaluations
-/// those choices cost.  Lanes without band scheduling (the generic
-/// frontier without step-parallelism) count one band per round.
+/// those choices cost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StepStats {
     /// Rounds executed.
@@ -29,17 +28,6 @@ pub struct StepStats {
     pub sparse_bands: u64,
     /// Vertices evaluated across all rounds and bands.
     pub cells_evaluated: u64,
-    /// Nanoseconds spent evaluating vertex updates (lane stepping or the
-    /// generic frontier sweep).
-    pub evaluate_nanos: u64,
-    /// Nanoseconds spent merging band results (buffer concatenation and
-    /// the configuration-hash fold); zero for lane rounds, which have no
-    /// separate merge phase.
-    pub merge_nanos: u64,
-    /// Nanoseconds spent applying the merged changes (colour writes,
-    /// census/hash upkeep, next-round worklist build); zero for lane
-    /// rounds.
-    pub apply_nanos: u64,
 }
 
 impl StepStats {
@@ -49,14 +37,6 @@ impl StepStats {
         self.dense_bands += u64::from(dense_bands);
         self.sparse_bands += u64::from(sparse_bands);
         self.cells_evaluated += cells_evaluated;
-    }
-
-    /// Folds one round's phase timings into the totals.  Lane rounds pass
-    /// their whole step as `evaluate` with zero merge/apply.
-    pub fn record_phases(&mut self, evaluate_nanos: u64, merge_nanos: u64, apply_nanos: u64) {
-        self.evaluate_nanos += evaluate_nanos;
-        self.merge_nanos += merge_nanos;
-        self.apply_nanos += apply_nanos;
     }
 }
 
@@ -231,8 +211,6 @@ mod tests {
         let mut stats = StepStats::default();
         stats.record_round(4, 0, 1_000_000);
         stats.record_round(1, 3, 250_000);
-        stats.record_phases(700, 0, 0);
-        stats.record_phases(300, 40, 60);
         assert_eq!(
             stats,
             StepStats {
@@ -240,9 +218,6 @@ mod tests {
                 dense_bands: 5,
                 sparse_bands: 3,
                 cells_evaluated: 1_250_000,
-                evaluate_nanos: 1_000,
-                merge_nanos: 40,
-                apply_nanos: 60,
             }
         );
     }

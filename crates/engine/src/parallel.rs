@@ -60,12 +60,12 @@ pub fn band_ranges(total: usize, bands: usize, align: usize) -> Vec<(usize, usiz
 /// order.
 ///
 /// `buffers` carries one reusable band-local accumulator per band (the
-/// lanes pass their double-buffered patch/flip vectors), so the hot loop
-/// allocates nothing; the closure's return value carries small per-band
-/// summaries (flip counts, census deltas) merged by the caller after the
-/// implicit barrier.  With a single band everything runs inline on the
-/// calling thread — the sequential path stays allocation- and
-/// spawn-free.
+/// lanes pass their patch/change vectors), so band results need no fresh
+/// buffers; the closure's return value carries small per-band summaries
+/// (flip counts, census deltas), returned in a fresh `Vec` each call and
+/// merged by the caller after the implicit barrier.  With a single band
+/// everything runs inline on the calling thread — the sequential path
+/// spawns nothing.
 ///
 /// # Panics
 ///

@@ -1,11 +1,10 @@
 //! The k-colour bit-plane lane.
 //!
-//! The packed lane of [`crate::frontier`] collapses a **two**-colour run to
-//! one bit per vertex; this module generalises it to any palette of up to
-//! 16 colours by *bit-plane slicing*: the palette is sorted and each colour
-//! mapped to a dense code `0..k`, and the configuration is stored as
-//! `⌈log₂ k⌉` parallel `u64` bit arrays ("planes") — bit `v` of plane `p`
-//! is bit `p` of vertex `v`'s code.  Sixty-four vertices then share a word
+//! Any palette of up to 16 colours is stored by *bit-plane slicing*: the
+//! palette is sorted and each colour mapped to a dense code `0..k`, and
+//! the configuration is stored as `⌈log₂ k⌉` parallel `u64` bit arrays
+//! ("planes", one for a one- or two-colour run) — bit `v` of plane `p` is
+//! bit `p` of vertex `v`'s code.  Sixty-four vertices then share a word
 //! in every plane, and a whole word's rule evaluation becomes a short
 //! branch-free sequence of word ops:
 //!
@@ -15,14 +14,13 @@
 //!    `!nb_p)` depending on bit `p` of code `c`.
 //! 3. **Count** the four direction indicators per colour with a half-adder
 //!    tree into 64 parallel 3-bit counters, and apply the rule's
-//!    comparators (`≥2`, `≥3`, `=4`, unique-plurality masks) to get a
-//!    per-colour *adopt* word.
+//!    comparators (`≥2`, `≥3`, `=4`, unique-plurality masks, and the
+//!    2-2 tie mask of a tie colour) to get a per-colour *adopt* word.
 //! 4. **Merge** the adopted codes back into the planes with two masks.
 //!
 //! The per-vertex cost is a few ALU ops instead of a rule dispatch plus a
 //! colour multiset scan.  Which rules qualify is declared by the rules
-//! themselves through [`ctori_protocols::LocalRule::as_color_count_rule`],
-//! the multi-colour sibling of `as_two_state_threshold`.
+//! themselves through [`ctori_protocols::LocalRule::as_color_count_rule`].
 //!
 //! # Frontier words and wrap handling
 //!
@@ -38,17 +36,20 @@
 //!   shared by all three [`ctori_topology::TorusKind`]s (on the chordal
 //!   tori even the row-wrap columns match it, because their west/east
 //!   wraps are literally `v∓1` in row-major order);
-//! * **wrap** — as fast, except that at most one lane's west and one
-//!   lane's east neighbour differ (a toroidal-mesh row-wrap column): the
-//!   word goes through the same vector kernel with those lanes patched
-//!   from their true CSR source after the horizontal gathers;
+//! * **wrap** — as fast, except that some lanes are toroidal-mesh
+//!   row-wrap columns, whose west neighbour is `v+cols-1` and east
+//!   neighbour `v-cols+1`: the word goes through the same vector kernel
+//!   with those lanes blended in, under a lane mask, from a second funnel
+//!   gather one row further on (back) — on narrow meshes a word spans
+//!   several rows and so several wrap columns;
 //! * **slow** — everything else (the two vertical-wrap boundary rows, the
 //!   partial tail word, non-torus structure): exact per-vertex CSR
 //!   evaluation.
 //!
-//! Explicit wrap handling therefore costs two patched bits on O(rows)
-//! words and the scalar path only O(cols) vertices, while the O(rows ·
-//! cols) interior streams through the vector kernel.
+//! Explicit wrap handling therefore costs two extra gathers on the O(rows)
+//! wrap words and the scalar path only the words holding the O(cols)
+//! boundary-row vertices, while the O(rows · cols) interior streams
+//! through the vector kernel.
 //!
 //! # Cache-tiled traversal
 //!
@@ -79,8 +80,10 @@ const TILE_WORD_COLS: usize = 32;
 #[derive(Clone, Copy, Debug)]
 enum Decision {
     /// Adopt the unique strict plurality colour if it has at least
-    /// `min_pair` holders.
-    Plurality { min_pair: u32 },
+    /// `min_pair` holders; a tie at `min_pair` or more that includes code
+    /// `tie` resolves to `tie` (`None`: ties keep, or the tie colour is
+    /// not in the palette and so never ties).
+    Plurality { min_pair: u32, tie: Option<u8> },
     /// Adopt the colour of code `code` at `threshold` holders; `None` if
     /// the activation colour is not in the palette (the lane is inert).
     Activation { code: Option<u8>, threshold: u32 },
@@ -91,13 +94,10 @@ enum Decision {
 enum WordClass {
     /// Full word, interior CSR pattern in all four directions.
     Fast,
-    /// Full word, interior pattern vertically; the horizontal gathers
-    /// need at most one lane each patched from its true wrap source
-    /// (`(lane, source vertex)` — a toroidal-mesh row-wrap column).
-    Wrap {
-        west: Option<(u8, u32)>,
-        east: Option<(u8, u32)>,
-    },
+    /// Full word, interior pattern vertically; the lanes in `west`
+    /// (`east`) are toroidal-mesh row-wrap columns whose west (east)
+    /// neighbour is `v+cols-1` (`v-cols+1`) instead of `v∓1`.
+    Wrap { west: u64, east: u64 },
     /// Anything else: exact per-vertex CSR evaluation.
     Slow,
 }
@@ -192,9 +192,9 @@ fn count4(a: u64, b: u64, c: u64, d: u64) -> (u64, u64, u64) {
 /// Construction compiles a [`ColorCountRule`] and an initial configuration
 /// of at most 16 distinct colours down to palette codes; stepping then
 /// evaluates 64 vertices per word against the pre-round planes (see the
-/// [module docs](crate::planes) for the kernel).  Like
-/// [`crate::PackedFrontier`], the adjacency is passed to
-/// [`PlaneLane::step`] rather than owned, so one CSR can serve many lanes.
+/// [module docs](crate::planes) for the kernel).  The adjacency is passed
+/// to [`PlaneLane::step`] rather than owned, so one CSR can serve many
+/// lanes.
 #[derive(Clone, Debug)]
 pub struct PlaneLane {
     /// `planes[p]` holds bit `p` of every vertex code; tail bits past
@@ -254,10 +254,12 @@ impl PlaneLane {
     /// (pass the column count of the grid; any value is *safe* — words
     /// not matching the interior pattern just take the exact per-vertex
     /// path).  Returns `None` when the configuration has no vertices or
-    /// more than 16 distinct colours, or when the rule could introduce a
+    /// more than 16 distinct colours, when the rule could introduce a
     /// colour outside the initial palette (an absent activation colour
-    /// with a zero threshold), in which cases the caller should stay on
-    /// the generic backend.
+    /// with a zero threshold), or when it resolves ties towards a colour
+    /// with `min_pair < 2` (a singleton tie the degree-4 kernel does not
+    /// model), in which cases the caller should stay on the generic
+    /// backend.
     ///
     /// # Panics
     ///
@@ -282,7 +284,15 @@ impl PlaneLane {
         }
         let code_of_color = |c: Color| palette.binary_search(&c).ok().map(|i| i as u8);
         let decision = match rule.form() {
-            ColorCountForm::Plurality { min_pair } => Decision::Plurality { min_pair },
+            ColorCountForm::Plurality { min_pair } => {
+                if rule.tie_to().is_some() && min_pair < 2 {
+                    return None;
+                }
+                Decision::Plurality {
+                    min_pair,
+                    tie: rule.tie_to().and_then(code_of_color),
+                }
+            }
             ColorCountForm::Activation { active, threshold } => {
                 let code = code_of_color(active);
                 if code.is_none() && threshold == 0 {
@@ -321,10 +331,10 @@ impl PlaneLane {
         // [v-cols, v+cols, v-1, v+1].  Computed in i64 so grid-edge
         // vertices (whose wrapped neighbours differ per torus kind) can
         // never match accidentally.  A full word whose only deviations are
-        // one west and/or one east lane (a row-wrap column) still takes
-        // the vector kernel with those lanes patched; the matching
-        // vertical pattern guarantees every gather it performs stays in
-        // bounds (base >= cols and base + 64 <= len - cols).
+        // toroidal-mesh row-wrap lanes still takes the vector kernel with
+        // those lanes blended in; the matching vertical pattern guarantees
+        // every gather it performs stays in bounds (base >= cols and
+        // base + 64 <= len - cols).
         let mut class = vec![WordClass::Slow; words];
         if cols > 0 {
             let stride = cols as i64;
@@ -333,8 +343,7 @@ impl PlaneLane {
                 if start + 64 > len {
                     continue;
                 }
-                let mut west_fix: Option<(u8, u32)> = None;
-                let mut east_fix: Option<(u8, u32)> = None;
+                let (mut west, mut east) = (0u64, 0u64);
                 for v in start..start + 64 {
                     let nbrs = adjacency.neighbors_raw(v);
                     let vi = v as i64;
@@ -344,23 +353,22 @@ impl PlaneLane {
                     {
                         continue 'words;
                     }
-                    let lane = (v - start) as u8;
-                    if i64::from(nbrs[2]) != vi - 1 {
-                        if west_fix.is_some() {
-                            continue 'words;
-                        }
-                        west_fix = Some((lane, nbrs[2]));
+                    let lane = 1u64 << (v - start);
+                    match i64::from(nbrs[2]) - vi {
+                        -1 => {}
+                        d if d == stride - 1 => west |= lane,
+                        _ => continue 'words,
                     }
-                    if i64::from(nbrs[3]) != vi + 1 {
-                        if east_fix.is_some() {
-                            continue 'words;
-                        }
-                        east_fix = Some((lane, nbrs[3]));
+                    match i64::from(nbrs[3]) - vi {
+                        1 => {}
+                        d if d == 1 - stride => east |= lane,
+                        _ => continue 'words,
                     }
                 }
-                *slot = match (west_fix, east_fix) {
-                    (None, None) => WordClass::Fast,
-                    (west, east) => WordClass::Wrap { west, east },
+                *slot = if west | east == 0 {
+                    WordClass::Fast
+                } else {
+                    WordClass::Wrap { west, east }
                 };
             }
         }
@@ -513,8 +521,8 @@ impl PlaneLane {
         self.flipped
     }
 
-    /// Pins every future round to a full sweep (the benchmark baseline
-    /// and the fallback for non-local rules).
+    /// Pins every future round to a full sweep (the reference of the
+    /// equivalence tests and the frontier benchmarks).
     pub fn set_always_full(&mut self) {
         self.worklist.set_always_full();
     }
@@ -572,33 +580,17 @@ impl PlaneLane {
     /// Evaluates one word against the pre-round planes.
     fn eval_word(&self, adjacency: &Adjacency, w: u32) -> Option<Patch> {
         match self.class[w as usize] {
-            WordClass::Fast => self.eval_vector(w, None, None),
+            WordClass::Fast => self.eval_vector(w, 0, 0),
             WordClass::Wrap { west, east } => self.eval_vector(w, west, east),
             WordClass::Slow => self.eval_slow(adjacency, w),
         }
     }
 
-    /// Replaces one lane of a gathered word set with the bit of its true
-    /// source vertex (the explicit wrap handling of row-wrap columns).
-    #[inline(always)]
-    fn patch_lane(planes: &[Vec<u64>], words: &mut [u64; MAX_PLANES], lane: u8, src: u32) {
-        let (q, r) = ((src >> 6) as usize, src & 63);
-        let mask = 1u64 << lane;
-        for (p, plane) in planes.iter().enumerate() {
-            let bit = (plane[q] >> r) & 1;
-            words[p] = (words[p] & !mask) | (bit << lane);
-        }
-    }
-
     /// The vectorised kernel: 64 vertices in one pass of word ops, valid
     /// because fast and wrap words are full and share the interior
-    /// neighbour pattern (degree exactly 4) up to the patched lanes.
-    fn eval_vector(
-        &self,
-        w: u32,
-        west: Option<(u8, u32)>,
-        east: Option<(u8, u32)>,
-    ) -> Option<Patch> {
+    /// neighbour pattern (degree exactly 4) up to the `west`/`east`
+    /// row-wrap lanes.
+    fn eval_vector(&self, w: u32, west: u64, east: u64) -> Option<Patch> {
         let wi = w as usize;
         let base = wi * 64;
         let pc = self.plane_count;
@@ -618,11 +610,18 @@ impl PlaneLane {
                 nb[d][p] = gather(plane, b);
             }
         }
-        if let Some((lane, src)) = west {
-            Self::patch_lane(&self.planes, &mut nb[2], lane, src);
-        }
-        if let Some((lane, src)) = east {
-            Self::patch_lane(&self.planes, &mut nb[3], lane, src);
+        // Row-wrap lanes read one row further on (west) or back (east):
+        // the same funnel gather shifted by `cols`, blended in under the
+        // lane mask.
+        for (d, mask, b) in [
+            (2, west, base + self.cols - 1),
+            (3, east, base + 1 - self.cols),
+        ] {
+            if mask != 0 {
+                for (p, plane) in self.planes.iter().enumerate() {
+                    nb[d][p] = (nb[d][p] & !mask) | (gather(plane, b) & mask);
+                }
+            }
         }
 
         let mut changed = 0u64;
@@ -640,10 +639,11 @@ impl PlaneLane {
         };
 
         match self.decision {
-            Decision::Plurality { min_pair } if min_pair <= 2 => {
+            Decision::Plurality { min_pair, tie } if min_pair <= 2 => {
                 // On degree 4 a unique plurality of one is impossible
                 // (four singletons tie), so min_pair <= 2 all behave as 2:
-                // adopt on counts 4, 3-1 and 2-1-1; keep on 2-2 ties.
+                // adopt on counts 4, 3-1 and 2-1-1; keep on 2-2 ties
+                // unless the tie colour is one of the pair.
                 let mut ge2 = [0u64; MAX_PALETTE];
                 let mut ge3 = [0u64; MAX_PALETTE];
                 let mut any2 = 0u64;
@@ -666,13 +666,19 @@ impl PlaneLane {
                     // also reaches two: either two colours reached two
                     // (dup2) or some colour did and it is not this one.
                     let other_pair = dup2 | (any2 & !ge2[code]);
-                    let adopt = ge3[code] | (ge2[code] & !ge3[code] & !other_pair);
+                    let mut adopt = ge3[code] | (ge2[code] & !ge3[code] & !other_pair);
+                    if tie == Some(code as u8) {
+                        // Two colours at two each is a 2-2 tie; the tie
+                        // colour wins it when it is one of them.
+                        adopt |= ge2[code] & dup2;
+                    }
                     adopt_code(code, adopt, &mut changed);
                 }
             }
-            Decision::Plurality { min_pair } => {
+            Decision::Plurality { min_pair, .. } => {
                 // min_pair 3 or 4 of four neighbours is automatically a
-                // unique plurality; 5+ can never fire on degree 4.
+                // unique plurality (no tie to resolve); 5+ can never fire
+                // on degree 4.
                 if (3..=4).contains(&min_pair) {
                     for code in 0..k {
                         let (hi, mid, low) = count4(
@@ -776,7 +782,7 @@ impl PlaneLane {
             return own;
         }
         match self.decision {
-            Decision::Plurality { min_pair } => {
+            Decision::Plurality { min_pair, tie } => {
                 let mut best: Option<(u8, u32)> = None;
                 let mut tied = false;
                 for (code, &n) in counts.iter().enumerate().take(self.palette.len()) {
@@ -795,6 +801,10 @@ impl PlaneLane {
                 }
                 match best {
                     Some((code, n)) if !tied && n >= min_pair => code,
+                    Some((_, n)) if n >= min_pair => match tie {
+                        Some(t) if counts[t as usize] == n => t,
+                        _ => own,
+                    },
                     _ => own,
                 }
             }
@@ -1091,7 +1101,34 @@ mod tests {
             // each other through the shared reference.
             check_lane_matches_reference(kind, 8, 256, 5, ColorCountRule::plurality(2));
             check_lane_matches_reference(kind, 6, 9, 3, ColorCountRule::plurality(2));
+            // Narrow tori: a word spans several rows, so interior words
+            // hold several row-wrap lanes (at unaligned offsets for 20).
+            check_lane_matches_reference(kind, 16, 16, 3, ColorCountRule::plurality(2));
+            check_lane_matches_reference(kind, 16, 20, 4, ColorCountRule::plurality(2));
         }
+    }
+
+    #[test]
+    fn tie_form_matches_scalar_reference() {
+        // Prefer-black's counting form: 2-2 ties involving colour 2 adopt
+        // it.  Width 65 puts every word on the slow path; width 256 adds
+        // fast words and, on the toroidal mesh, wrap words.  Two colours
+        // make every tie a black one, five colours mix in ties without it.
+        let rule = ColorCountRule::plurality(2).with_tie_to(c(2));
+        for kind in TorusKind::ALL {
+            for palette in [2, 5] {
+                check_lane_matches_reference(kind, 8, 65, palette, rule);
+                check_lane_matches_reference(kind, 8, 256, palette, rule);
+            }
+        }
+        // Narrow meshes put several row-wrap lanes in one vector word.
+        check_lane_matches_reference(TorusKind::ToroidalMesh, 16, 16, 2, rule);
+        // A singleton tie would need a 1-1-1-1 mask the kernel lacks.
+        let torus = Torus::new(TorusKind::ToroidalMesh, 4, 4);
+        let adjacency = Adjacency::from_torus(&torus);
+        let colors = scatter_colors(16, 3, 5);
+        let singleton = ColorCountRule::plurality(1).with_tie_to(c(2));
+        assert!(PlaneLane::from_colors(&adjacency, 4, &colors, &singleton).is_none());
     }
 
     #[test]
@@ -1312,19 +1349,25 @@ mod tests {
         let lane = PlaneLane::from_colors(&adjacency, 128, &colors, &ColorCountRule::plurality(2))
             .unwrap();
         // Row 1 spans words 2 and 3.
-        assert_eq!(
-            lane.class[2],
-            WordClass::Wrap {
-                west: Some((0, 128 + 127)),
-                east: None,
-            }
-        );
+        assert_eq!(lane.class[2], WordClass::Wrap { west: 1, east: 0 });
         assert_eq!(
             lane.class[3],
             WordClass::Wrap {
-                west: None,
-                east: Some((63, 128)),
+                west: 0,
+                east: 1 << 63,
             }
         );
+        // On a 16-wide mesh a word holds four rows, hence four wrap lanes
+        // each way; only the words touching row 0 or row 15 stay slow.
+        let torus = Torus::new(TorusKind::ToroidalMesh, 16, 16);
+        let adjacency = Adjacency::from_torus(&torus);
+        let colors = scatter_colors(16 * 16, 2, 11);
+        let lane =
+            PlaneLane::from_colors(&adjacency, 16, &colors, &ColorCountRule::plurality(2)).unwrap();
+        let rows = WordClass::Wrap {
+            west: 0x0001_0001_0001_0001,
+            east: 0x8000_8000_8000_8000,
+        };
+        assert_eq!(lane.class, [WordClass::Slow, rows, rows, WordClass::Slow]);
     }
 }

@@ -122,9 +122,14 @@ pub struct RunOutcome {
     pub monotone: Option<bool>,
     /// Final count of the tracked/checked colour.
     pub final_target_count: Option<usize>,
-    /// Whether the bit-packed two-colour lane drove the run.
+    /// Always `false` for runs of this engine: the bit-packed two-colour
+    /// lane it reported on was folded into the bit-plane lane, which now
+    /// runs two-colour torus specs too.  The field and its `packed-lane:`
+    /// text line stay so that outcome texts keep their shape and code
+    /// reading the field keeps compiling; an outcome text recorded by an
+    /// older engine still parses with its recorded value.
     pub used_packed_lane: bool,
-    /// Whether the multi-colour bit-plane lane drove the run.
+    /// Whether the bit-plane lane drove the run.
     pub used_plane_lane: bool,
     /// Timed step profile of the run (thread count, dense/sparse band
     /// decisions, Gcell/s).  Pure observability: excluded from equality
@@ -472,7 +477,7 @@ impl Runner {
             recoloring_times: report.recoloring_times,
             monotone: report.monotone,
             final_target_count: report.final_target_count,
-            used_packed_lane: sim.uses_packed_lane(),
+            used_packed_lane: false,
             used_plane_lane: sim.uses_plane_lane(),
             round_stats: Some(RoundStats {
                 rounds: stats.rounds,
@@ -636,14 +641,14 @@ mod tests {
         );
         let runner = Runner::with_threads(1);
         let auto = runner.execute(&base);
-        assert!(auto.used_packed_lane, "two colours select the packed lane");
+        assert!(auto.used_plane_lane, "two colours select the plane lane");
         for lane in [LaneSpec::GenericFrontier, LaneSpec::FullSweep] {
             let forced = runner.execute(
                 &base
                     .clone()
                     .with_options(EngineOptions::default().with_lane(lane)),
             );
-            assert!(!forced.used_packed_lane);
+            assert!(!forced.used_plane_lane);
             assert_eq!(forced.termination, auto.termination, "{lane:?}");
             assert_eq!(forced.rounds, auto.rounds, "{lane:?}");
             assert_eq!(forced.final_coloring, auto.final_coloring, "{lane:?}");
@@ -652,8 +657,8 @@ mod tests {
 
     #[test]
     fn plane_lane_forcing_changes_the_backend_not_the_result() {
-        // Four colours: the packed lane is out, auto selects the bit-plane
-        // lane, and forcing each lane must reproduce the same run.
+        // Four colours: auto selects the bit-plane lane, and forcing each
+        // lane must reproduce the same run.
         let base = RunSpec::new(
             TopologySpec::torus(TorusKind::TorusSerpentinus, 8, 8),
             RuleSpec::parse("smp").unwrap(),
@@ -670,7 +675,6 @@ mod tests {
             auto.used_plane_lane,
             "a 4-colour SMP torus run selects the plane lane"
         );
-        assert!(!auto.used_packed_lane);
         for lane in [
             LaneSpec::GenericFrontier,
             LaneSpec::FullSweep,
@@ -702,8 +706,20 @@ mod tests {
         let outcome = Runner::new().execute(&spec);
         assert_eq!(outcome.termination, Termination::Monochromatic(c(2)));
         assert_eq!(outcome.rounds, 4);
-        assert!(outcome.used_packed_lane);
+        assert!(!outcome.used_plane_lane, "graphs take the generic lane");
         assert_eq!(outcome.final_coloring.rows(), 1, "graphs report flat");
+    }
+
+    #[test]
+    fn two_colour_torus_specs_report_the_plane_lane() {
+        let spec = RunSpec::from_text(
+            "topology: toroidal-mesh 16x16\nrule: prefer-black\n\
+             seed: density color=2 palette=2 fraction=0.4 rng=3\n",
+        )
+        .unwrap();
+        let text = Runner::with_threads(1).execute(&spec).to_text();
+        assert!(text.contains("plane-lane: yes\n"), "\n{text}");
+        assert!(text.contains("packed-lane: no\n"), "\n{text}");
     }
 
     #[test]

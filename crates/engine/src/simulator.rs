@@ -2,23 +2,19 @@
 //!
 //! The stepper is **incremental**: after the first full round, only the
 //! vertices that could possibly change — last round's changed vertices and
-//! their out-neighbours — are re-evaluated (see [`crate::frontier`]).  The
-//! configuration lives behind the [`StateVec`] abstraction: a generic
-//! colour-per-vertex backend for arbitrary rules and palettes, a
-//! bit-packed two-colour lane selected automatically when the rule
-//! advertises a [`ctori_protocols::TwoStateThreshold`] degenerate form and
-//! the initial configuration uses at most two colours, and a multi-colour
-//! bit-plane lane (see [`crate::planes`]) selected when the rule
-//! advertises a [`ctori_protocols::ColorCountRule`] counting form and
-//! 3–16 colours are present on a 4-regular grid.
+//! their out-neighbours — are re-evaluated.  The configuration lives
+//! behind the [`StateVec`] abstraction: a generic colour-per-vertex
+//! backend for arbitrary rules, palettes and graphs, and the bit-plane
+//! lane (see [`crate::planes`]), selected automatically when the rule
+//! advertises a [`ctori_protocols::ColorCountRule`] counting form and at
+//! most 16 colours are present on a 4-regular torus.
 
-use crate::frontier::{PackedFrontier, Worklist};
+use crate::frontier::Worklist;
 use crate::metrics::StepStats;
 use crate::observe::StepView;
 use crate::parallel::{band_ranges, run_bands};
 use crate::planes::PlaneLane;
 use crate::state::{ColorCensus, StateVec};
-use crate::telemetry::clock::monotonic_nanos;
 use ctori_coloring::{Color, Coloring};
 use ctori_protocols::LocalRule;
 use ctori_topology::{Adjacency, NodeId, NodeSet, Topology, Torus};
@@ -197,25 +193,24 @@ fn eval_one<R: LocalRule>(
     }
 }
 
-/// An incremental triple-lane synchronous simulator over the shared CSR
+/// An incremental two-lane synchronous simulator over the shared CSR
 /// kernel.
 ///
 /// The simulator flattens its topology once into a
 /// [`ctori_topology::Adjacency`] (or borrows a prebuilt one through
 /// [`Simulator::from_adjacency`]) and stores the configuration behind a
-/// [`StateVec`]: a dense colour vector for arbitrary rules, a bit-packed
-/// two-colour lane when the rule advertises a
-/// [`ctori_protocols::TwoStateThreshold`] and at most two colours are
-/// present, or a multi-colour bit-plane lane ([`crate::planes`]) when the
-/// rule advertises a [`ctori_protocols::ColorCountRule`] and 3–16 colours
-/// are present on a 4-regular grid.  Stepping is
-/// **frontier-incremental** for local rules: after
-/// the first full round only last round's changed vertices and their
-/// out-neighbours are re-evaluated, so a thin spreading frontier costs
-/// O(frontier) per round instead of O(|V|).  Non-local rules (and callers
-/// of [`Simulator::with_full_sweep`]) take the exhaustive full-sweep path,
-/// which is the PR-1 behaviour.  **No heap allocation happens per round**
-/// in either lane — the hot loops are pure slice and bit indexing.
+/// [`StateVec`]: a dense colour vector for arbitrary rules and graphs, or
+/// the bit-plane lane ([`crate::planes`]) when the rule advertises a
+/// [`ctori_protocols::ColorCountRule`] and at most 16 colours are present
+/// on a 4-regular torus of at least two rows.  Stepping is
+/// **frontier-incremental**: after the first full round only last round's
+/// changed vertices and their out-neighbours are re-evaluated, so a thin
+/// spreading frontier costs O(frontier) per round instead of O(|V|).
+/// Callers of [`Simulator::with_full_sweep`] get the exhaustive full sweep
+/// instead, the reference the equivalence tests and benchmarks compare
+/// against.  The hot loops are pure slice and bit indexing; the only
+/// per-round allocations are the small per-band bookkeeping vectors of the
+/// band scheduler ([`crate::parallel::run_bands`]).
 pub struct Simulator<R> {
     adjacency: Adjacency,
     rule: R,
@@ -223,9 +218,7 @@ pub struct Simulator<R> {
     cols: usize,
     state: StateVec,
     worklist: Worklist,
-    changes: Vec<(u32, Color, Color)>,
     round: usize,
-    scratch: Vec<Color>,
     regular4: bool,
     full_sweep: bool,
     /// Incremental Zobrist hash of the configuration; maintained only once
@@ -237,8 +230,9 @@ pub struct Simulator<R> {
     /// Intra-round band parallelism (see [`crate::parallel`]); forwarded
     /// to whichever lane is active.
     step_threads: usize,
-    /// Reused per-band change buffers of the generic lane's parallel
-    /// evaluation.
+    /// The generic lane's per-band `(vertex, old, new)` change buffers,
+    /// reused across rounds; their band-order concatenation is the last
+    /// round's change list.
     band_changes: Vec<Vec<(u32, Color, Color)>>,
     /// Cumulative per-round profile (rounds, band decisions, cells).
     stats: StepStats,
@@ -301,27 +295,23 @@ impl<R: LocalRule> Simulator<R> {
         cols: usize,
         cells: Vec<Color>,
     ) -> Self {
-        let scratch = Vec::with_capacity(adjacency.max_degree());
         let regular4 = adjacency.uniform_degree() == Some(4);
         let n = cells.len();
         let state = Self::choose_backend(&adjacency, &rule, rows, cols, cells);
-        let worklist = if state.is_packed() || state.is_planes() {
-            // The bit lanes schedule their own frontiers.
+        let worklist = if state.is_planes() {
+            // The plane lane schedules its own (word-granular) frontier.
             Worklist::new(0)
         } else {
             Worklist::new(n)
         };
-        let full_sweep = !rule.is_local();
-        let mut sim = Simulator {
+        Simulator {
             adjacency,
             rule,
             rows,
             cols,
             state,
             worklist,
-            changes: Vec::new(),
             round: 0,
-            scratch,
             regular4,
             full_sweep: false,
             hash: 0,
@@ -330,18 +320,12 @@ impl<R: LocalRule> Simulator<R> {
             step_threads: 1,
             band_changes: Vec::new(),
             stats: StepStats::default(),
-        };
-        if full_sweep {
-            sim.apply_full_sweep();
         }
-        sim
     }
 
-    /// Selects the state backend: the packed two-colour lane when the rule
-    /// has a two-state degenerate form and exactly two colours are
-    /// present, the multi-colour bit-plane lane when the rule has a
-    /// counting form and 3–16 colours are present on a 4-regular grid of
-    /// at least two rows, and the generic colour vector otherwise.
+    /// Selects the state backend: the bit-plane lane when the rule has a
+    /// counting form and the run is a 4-regular torus of at least two rows
+    /// with at most 16 colours, and the generic colour vector otherwise.
     fn choose_backend(
         adjacency: &Adjacency,
         rule: &R,
@@ -349,56 +333,16 @@ impl<R: LocalRule> Simulator<R> {
         cols: usize,
         cells: Vec<Color>,
     ) -> StateVec {
-        let mut distinct: Option<(Color, Option<Color>)> = None;
-        let mut more_than_two = false;
-        for &c in &cells {
-            match distinct {
-                None => distinct = Some((c, None)),
-                Some((a, None)) if c != a => distinct = Some((a, Some(c))),
-                Some((a, Some(b))) if c != a && c != b => {
-                    more_than_two = true;
-                    break;
-                }
-                _ => {}
-            }
-        }
-        if more_than_two
-            && rows >= 2
-            && adjacency.uniform_degree() == Some(4)
-            && rows * cols == cells.len()
-        {
+        if rows >= 2 && adjacency.uniform_degree() == Some(4) && rows * cols == cells.len() {
             if let Some(counting) = rule.as_color_count_rule() {
-                // `from_colors` re-checks the palette bound (≤ 16) and
-                // bails to the generic backend past it.
+                // `from_colors` checks the palette bound (≤ 16) and the
+                // counting forms its kernel covers, and bails to the
+                // generic backend past them.
                 if let Some(lane) = PlaneLane::from_colors(adjacency, cols, &cells, &counting) {
-                    return StateVec::Planes { lane };
+                    return StateVec::Planes {
+                        lane: Box::new(lane),
+                    };
                 }
-            }
-        }
-        if !more_than_two {
-            if let (Some((zero, Some(one))), Some(tst)) = (distinct, rule.as_two_state_threshold())
-            {
-                let n = cells.len();
-                let (up, down) = if let Some(d) = adjacency.uniform_degree() {
-                    let (u, dn) = tst.flip_thresholds(zero, one, d);
-                    (vec![u; n], vec![dn; n])
-                } else {
-                    let mut up = Vec::with_capacity(n);
-                    let mut down = Vec::with_capacity(n);
-                    for v in 0..n {
-                        let (u, dn) = tst.flip_thresholds(zero, one, adjacency.degree_of(v));
-                        up.push(u);
-                        down.push(dn);
-                    }
-                    (up, down)
-                };
-                let mut lane = PackedFrontier::new(n, up, down);
-                for (v, &c) in cells.iter().enumerate() {
-                    if c == one {
-                        lane.set_one(v);
-                    }
-                }
-                return StateVec::Packed { lane, zero, one };
             }
         }
         StateVec::Generic {
@@ -407,35 +351,28 @@ impl<R: LocalRule> Simulator<R> {
         }
     }
 
-    fn apply_full_sweep(&mut self) {
+    /// Disables the incremental frontier: every round re-evaluates every
+    /// vertex (every word on the plane lane).  This is the reference of
+    /// the lane-equivalence tests and the baseline of the frontier
+    /// benchmarks; results are identical, only slower.
+    pub fn with_full_sweep(mut self) -> Self {
         self.full_sweep = true;
         match &mut self.state {
-            StateVec::Packed { lane, .. } => lane.set_always_full(),
             StateVec::Planes { lane } => lane.set_always_full(),
             StateVec::Generic { .. } => self.worklist.set_always_full(),
         }
-    }
-
-    /// Disables the incremental frontier: every round re-evaluates every
-    /// vertex, which is the PR-1 full-sweep behaviour.  This is the
-    /// baseline of the frontier benchmarks and the automatic mode for
-    /// rules with [`LocalRule::is_local`]` == false`; results are
-    /// identical for local rules, only slower.
-    pub fn with_full_sweep(mut self) -> Self {
-        self.apply_full_sweep();
         self
     }
 
-    /// Forces the generic colour-vector backend even when the packed
-    /// two-colour lane or the multi-colour bit-plane lane is eligible
-    /// (used by the equivalence tests and benchmarks).
+    /// Forces the generic colour-vector backend even when the bit-plane
+    /// lane is eligible (used by the equivalence tests and benchmarks).
     ///
     /// # Panics
     ///
     /// Panics if called after stepping has started.
     pub fn with_generic_lane(mut self) -> Self {
         assert_eq!(self.round, 0, "backend can only be changed before stepping");
-        if self.state.is_packed() || self.state.is_planes() {
+        if self.state.is_planes() {
             let colors = self.state.snapshot();
             self.worklist = Worklist::new(colors.len());
             self.state = StateVec::Generic {
@@ -449,18 +386,12 @@ impl<R: LocalRule> Simulator<R> {
         self
     }
 
-    /// Former name of [`Simulator::with_generic_lane`], from when the
-    /// packed lane was the only alternative backend.
-    #[deprecated(since = "0.6.0", note = "renamed to `with_generic_lane`")]
-    pub fn without_packed_lane(self) -> Self {
-        self.with_generic_lane()
-    }
-
-    /// Forces the multi-colour bit-plane lane.  Unlike `lane=auto`, this
-    /// also accepts two-colour configurations and tori of fewer than two
-    /// rows; it still requires the rule to advertise a
-    /// [`ctori_protocols::ColorCountRule`] and at most 16 colours, and
-    /// leaves the current backend in place when the lane is ineligible.
+    /// Forces the bit-plane lane.  Unlike `lane=auto`, this also accepts
+    /// tori of fewer than two rows and graphs that are not 4-regular
+    /// (non-torus words take the lane's exact per-vertex path); it still
+    /// requires the rule to advertise a [`ctori_protocols::ColorCountRule`]
+    /// the lane covers and at most 16 colours, and leaves the current
+    /// backend in place when the lane is ineligible.
     ///
     /// # Panics
     ///
@@ -480,7 +411,9 @@ impl<R: LocalRule> Simulator<R> {
                 }
                 lane.set_threads(self.step_threads);
                 self.worklist = Worklist::new(0);
-                self.state = StateVec::Planes { lane };
+                self.state = StateVec::Planes {
+                    lane: Box::new(lane),
+                };
             }
         }
         self
@@ -494,10 +427,8 @@ impl<R: LocalRule> Simulator<R> {
     /// mid-run.
     pub fn set_step_threads(&mut self, threads: usize) {
         self.step_threads = threads.max(1);
-        match &mut self.state {
-            StateVec::Packed { lane, .. } => lane.set_threads(self.step_threads),
-            StateVec::Planes { lane } => lane.set_threads(self.step_threads),
-            StateVec::Generic { .. } => {}
+        if let StateVec::Planes { lane } = &mut self.state {
+            lane.set_threads(self.step_threads);
         }
     }
 
@@ -518,12 +449,7 @@ impl<R: LocalRule> Simulator<R> {
         self.stats
     }
 
-    /// Whether the bit-packed two-colour lane is driving this simulator.
-    pub fn uses_packed_lane(&self) -> bool {
-        self.state.is_packed()
-    }
-
-    /// Whether the multi-colour bit-plane lane is driving this simulator.
+    /// Whether the bit-plane lane is driving this simulator.
     pub fn uses_plane_lane(&self) -> bool {
         self.state.is_planes()
     }
@@ -588,19 +514,8 @@ impl<R: LocalRule> Simulator<R> {
     fn for_each_last_change(&self, mut f: impl FnMut(usize, Color, Color)) {
         match &self.state {
             StateVec::Generic { .. } => {
-                for &(v, old, new) in &self.changes {
+                for &(v, old, new) in self.band_changes.iter().flatten() {
                     f(v as usize, old, new);
-                }
-            }
-            StateVec::Packed { lane, zero, one } => {
-                for &v in lane.flips() {
-                    // The flip is already applied, so the current bit is
-                    // the new colour.
-                    if lane.is_one(v as usize) {
-                        f(v as usize, *zero, *one);
-                    } else {
-                        f(v as usize, *one, *zero);
-                    }
                 }
             }
             StateVec::Planes { lane } => {
@@ -616,32 +531,12 @@ impl<R: LocalRule> Simulator<R> {
     ///
     /// The first call evaluates every vertex; afterwards only the frontier
     /// candidates (last round's changed vertices and their out-neighbours)
-    /// are evaluated — unless the full-sweep fallback is active, or the
-    /// hybrid crossover decides a near-full candidate set is cheaper to
-    /// re-sweep densely.  Results are identical either way for local
-    /// rules, and bit-identical at every
-    /// [`Simulator::set_step_threads`] setting.
+    /// are evaluated — unless [`Simulator::with_full_sweep`] is in force,
+    /// or the hybrid crossover decides a near-full candidate set is
+    /// cheaper to re-sweep densely.  Results are identical either way, and
+    /// bit-identical at every [`Simulator::set_step_threads`] setting.
     pub fn step(&mut self) -> StepReport {
-        let mut generic_profile = (0u32, 0u32, 0u64);
-        let step_start = monotonic_nanos();
-        // (evaluate, merge, apply) nanoseconds for this round.  Lane
-        // rounds do everything inside the lane step, so the whole round
-        // counts as evaluation.
-        let mut phase_profile = (0u64, 0u64, 0u64);
-        let changed = match &mut self.state {
-            StateVec::Packed { lane, zero, one } => {
-                let flips = lane.step(&self.adjacency);
-                if self.hash_live {
-                    let (zero, one) = (*zero, *one);
-                    let mut delta = 0u64;
-                    for &v in lane.flips() {
-                        delta ^= zkey(v as usize, zero) ^ zkey(v as usize, one);
-                    }
-                    self.hash ^= delta;
-                }
-                phase_profile.0 = monotonic_nanos().saturating_sub(step_start);
-                flips
-            }
+        let (changed, (dense_bands, sparse_bands, cells)) = match &mut self.state {
             StateVec::Planes { lane } => {
                 let flips = lane.step(&self.adjacency);
                 if self.hash_live {
@@ -651,135 +546,75 @@ impl<R: LocalRule> Simulator<R> {
                     }
                     self.hash ^= delta;
                 }
-                phase_profile.0 = monotonic_nanos().saturating_sub(step_start);
-                flips
+                (flips, lane.last_step_profile())
             }
             StateVec::Generic { colors, census } => {
-                self.changes.clear();
                 let len = colors.len();
-                let full = self.worklist.is_full_round();
+                let candidates = self.worklist.candidates();
                 // The hybrid crossover (calibrated like the plane lane's):
                 // once the candidate list covers ~5/8 of the vertices, a
                 // linear dense sweep beats chasing the worklist.  Exact
                 // because a vertex outside the worklist cannot change, so
                 // the dense superset yields the identical change set.
-                // `always_full` rounds (non-local rules) are full anyway.
-                let dense = full || self.worklist.candidates().len() * 8 >= len * 5;
-                generic_profile = if dense {
-                    (1, 0, len as u64)
+                let dense = self.worklist.is_full_round() || candidates.len() * 8 >= len * 5;
+                // Band evaluation against the frozen pre-round colours
+                // (one inline band unless `step_threads > 1`): dense
+                // rounds split the vertex range, sparse rounds chunk the
+                // candidate list (the round-stamped dedup already ran when
+                // the list was built, so chunks are disjoint).
+                let ranges = if dense {
+                    band_ranges(len, self.step_threads, 64)
                 } else {
-                    (0, 1, self.worklist.candidates().len() as u64)
+                    band_ranges(candidates.len(), self.step_threads, 1)
                 };
-                let evaluate_done;
-                if self.step_threads == 1 {
-                    if dense {
-                        for v in 0..len {
-                            let own = colors[v];
-                            let new = eval_one(
-                                &self.rule,
-                                &self.adjacency,
-                                self.regular4,
-                                colors,
-                                &mut self.scratch,
-                                v,
-                            );
-                            if new != own {
-                                self.changes.push((v as u32, own, new));
-                            }
-                        }
-                    } else {
-                        for i in 0..self.worklist.candidates().len() {
-                            let v = self.worklist.candidates()[i] as usize;
-                            let own = colors[v];
-                            let new = eval_one(
-                                &self.rule,
-                                &self.adjacency,
-                                self.regular4,
-                                colors,
-                                &mut self.scratch,
-                                v,
-                            );
-                            if new != own {
-                                self.changes.push((v as u32, own, new));
-                            }
-                        }
-                    }
-                    evaluate_done = monotonic_nanos();
+                let bands = ranges.len() as u32;
+                let profile = if dense {
+                    (bands, 0, len as u64)
                 } else {
-                    // Band-parallel evaluation against the frozen
-                    // pre-round colours: dense rounds split the vertex
-                    // range, sparse rounds chunk the candidate list (the
-                    // round-stamped dedup already ran when the list was
-                    // built, so chunks are disjoint by construction).
-                    // Band-order concatenation reproduces the sequential
-                    // change order exactly.
-                    let ranges = if dense {
-                        band_ranges(len, self.step_threads, 64)
-                    } else {
-                        band_ranges(self.worklist.candidates().len(), self.step_threads, 1)
-                    };
-                    generic_profile = if dense {
-                        (ranges.len() as u32, 0, len as u64)
-                    } else {
-                        (0, ranges.len() as u32, generic_profile.2)
-                    };
-                    let mut band_changes = std::mem::take(&mut self.band_changes);
-                    band_changes.resize_with(ranges.len(), Vec::new);
-                    for buffer in &mut band_changes {
-                        buffer.clear();
-                    }
-                    let rule = &self.rule;
-                    let adjacency = &self.adjacency;
-                    let regular4 = self.regular4;
-                    let worklist = &self.worklist;
-                    let colors_ref: &[Color] = colors;
-                    run_bands(&ranges, &mut band_changes, |_band, start, end, out| {
-                        // Per-band scratch: lazily allocated, and never
-                        // touched on the 4-regular tori.
-                        let mut scratch: Vec<Color> = Vec::new();
-                        let mut eval = |v: usize, out: &mut Vec<(u32, Color, Color)>| {
-                            let own = colors_ref[v];
-                            let new =
-                                eval_one(rule, adjacency, regular4, colors_ref, &mut scratch, v);
-                            if new != own {
-                                out.push((v as u32, own, new));
-                            }
-                        };
-                        if dense {
-                            for v in start..end {
-                                eval(v, out);
-                            }
-                        } else {
-                            for &v in &worklist.candidates()[start..end] {
-                                eval(v as usize, out);
-                            }
+                    (0, bands, candidates.len() as u64)
+                };
+                self.band_changes.resize_with(ranges.len(), Vec::new);
+                let (rule, adjacency, regular4) = (&self.rule, &self.adjacency, self.regular4);
+                let frozen: &[Color] = colors;
+                run_bands(&ranges, &mut self.band_changes, |_band, start, end, out| {
+                    out.clear();
+                    // Per-band scratch: lazily allocated, and never
+                    // touched on the 4-regular tori.
+                    let mut scratch: Vec<Color> = Vec::new();
+                    let mut eval = |v: usize| {
+                        let own = frozen[v];
+                        let new = eval_one(rule, adjacency, regular4, frozen, &mut scratch, v);
+                        if new != own {
+                            out.push((v as u32, own, new));
                         }
-                    });
-                    evaluate_done = monotonic_nanos();
-                    for buffer in &band_changes {
-                        self.changes.extend_from_slice(buffer);
+                    };
+                    if dense {
+                        for v in start..end {
+                            eval(v);
+                        }
+                    } else {
+                        for &v in &candidates[start..end] {
+                            eval(v as usize);
+                        }
                     }
-                    self.band_changes = band_changes;
-                }
-                // Merge: band-order concatenation above plus the hash
-                // delta, which only reads the change tuples and so can
-                // fold before the colours move.
+                });
+                // The band-order concatenation of the buffers is the
+                // sequential change order.
+                let changes = self.band_changes.iter().flatten();
                 if self.hash_live {
-                    for &(v, old, new) in &self.changes {
+                    for &(v, old, new) in changes.clone() {
                         self.hash ^= zkey(v as usize, old) ^ zkey(v as usize, new);
                     }
                 }
-                let merge_done = monotonic_nanos();
                 // Apply after evaluating everything: synchronous semantics.
-                for &(v, old, new) in &self.changes {
+                for &(v, old, new) in changes.clone() {
                     colors[v as usize] = new;
                     census.remove(old);
                     census.add(new);
                 }
                 self.worklist.begin_next();
                 if !self.worklist.always_full() {
-                    for i in 0..self.changes.len() {
-                        let v = self.changes[i].0;
+                    for &(v, _, _) in changes.clone() {
                         self.worklist.mark(v);
                         for &u in self.adjacency.neighbors_raw(v as usize) {
                             self.worklist.mark(u);
@@ -787,23 +622,10 @@ impl<R: LocalRule> Simulator<R> {
                     }
                 }
                 self.worklist.finish_round();
-                let apply_done = monotonic_nanos();
-                phase_profile = (
-                    evaluate_done.saturating_sub(step_start),
-                    merge_done.saturating_sub(evaluate_done),
-                    apply_done.saturating_sub(merge_done),
-                );
-                self.changes.len()
+                (changes.count(), profile)
             }
         };
-        let (dense_bands, sparse_bands, cells) = match &self.state {
-            StateVec::Packed { lane, .. } => lane.last_step_profile(),
-            StateVec::Planes { lane } => lane.last_step_profile(),
-            StateVec::Generic { .. } => generic_profile,
-        };
         self.stats.record_round(dense_bands, sparse_bands, cells);
-        self.stats
-            .record_phases(phase_profile.0, phase_profile.1, phase_profile.2);
         self.round += 1;
         StepReport {
             changed,
@@ -1001,7 +823,6 @@ mod tests {
             .cell(2, 2, Color::new(5))
             .build();
         let mut sim = Simulator::new(&t, SmpProtocol, coloring);
-        assert!(!sim.uses_packed_lane(), "five colours cannot pack");
         assert!(
             sim.uses_plane_lane(),
             "five colours + SMP select the plane lane"
@@ -1030,7 +851,10 @@ mod tests {
         let coloring =
             ctori_coloring::patterns::column_stripes(&t, &[Color::new(1), Color::new(2)]);
         let mut sim = Simulator::new(&t, SmpProtocol, coloring.clone());
-        assert!(sim.uses_packed_lane(), "two colours + SMP select the lane");
+        assert!(
+            sim.uses_plane_lane(),
+            "two colours + SMP select the plane lane"
+        );
         let report = sim.run(&RunConfig::default());
         assert_eq!(report.termination, Termination::FixedPoint);
         assert_eq!(
@@ -1115,11 +939,11 @@ mod tests {
     }
 
     #[test]
-    fn packed_generic_and_full_sweep_steppers_agree() {
-        // The three data paths — packed lane, generic frontier, generic
-        // full sweep — must produce identical trajectories round for
-        // round (the cross-backend proptests widen this to random
-        // configurations).
+    fn plane_generic_and_full_sweep_steppers_agree() {
+        // The three data paths — plane lane (with prefer-black's tie
+        // mask), generic frontier, generic full sweep — must produce
+        // identical trajectories round for round (the cross-backend
+        // proptests widen this to random configurations).
         let t = torus_cordalis(6, 7);
         let coloring = ColoringBuilder::filled(&t, Color::WHITE)
             .cell(1, 1, Color::BLACK)
@@ -1127,7 +951,7 @@ mod tests {
             .cell(2, 1, Color::BLACK)
             .cell(4, 5, Color::BLACK)
             .build();
-        let mut packed =
+        let mut planes =
             Simulator::new(&t, ReverseSimpleMajority::prefer_black(), coloring.clone());
         let mut generic =
             Simulator::new(&t, ReverseSimpleMajority::prefer_black(), coloring.clone())
@@ -1135,21 +959,21 @@ mod tests {
         let mut sweep = Simulator::new(&t, ReverseSimpleMajority::prefer_black(), coloring)
             .with_generic_lane()
             .with_full_sweep();
-        assert!(packed.uses_packed_lane());
-        assert!(!generic.uses_packed_lane());
+        assert!(planes.uses_plane_lane());
+        assert!(!generic.uses_plane_lane());
         for round in 0..12 {
-            let a = packed.step();
+            let a = planes.step();
             let b = generic.step();
             let c = sweep.step();
-            assert_eq!(a, b, "packed vs generic diverge at round {round}");
+            assert_eq!(a, b, "planes vs generic diverge at round {round}");
             assert_eq!(b, c, "generic vs full sweep diverge at round {round}");
-            assert_eq!(packed.snapshot(), generic.snapshot());
+            assert_eq!(planes.snapshot(), generic.snapshot());
             assert_eq!(generic.snapshot(), sweep.snapshot());
         }
     }
 
     #[test]
-    fn packed_lane_run_reports_match_generic() {
+    fn plane_lane_run_reports_match_generic() {
         let t = toroidal_mesh(8, 8);
         let seed = Color::new(2);
         let mut builder = ColoringBuilder::filled(&t, Color::new(1));
@@ -1158,10 +982,10 @@ mod tests {
         }
         let coloring = builder.build();
         let rule = ThresholdRule::new(seed, 2);
-        let mut packed = Simulator::new(&t, rule, coloring.clone());
+        let mut planes = Simulator::new(&t, rule, coloring.clone());
         let mut generic = Simulator::new(&t, rule, coloring).with_generic_lane();
-        assert!(packed.uses_packed_lane());
-        let a = packed.run(&RunConfig::for_dynamo(seed));
+        assert!(planes.uses_plane_lane());
+        let a = planes.run(&RunConfig::for_dynamo(seed));
         let b = generic.run(&RunConfig::for_dynamo(seed));
         assert_eq!(a.termination, b.termination);
         assert_eq!(a.rounds, b.rounds);
@@ -1236,8 +1060,8 @@ mod tests {
         let rule = ThresholdRule::new(Color::new(2), 1);
         let mut sim = Simulator::from_topology(&g, rule, state);
         assert!(
-            sim.uses_packed_lane(),
-            "two-colour threshold runs pack even on non-regular graphs"
+            !sim.uses_plane_lane(),
+            "general graphs take the generic lane"
         );
         let report = sim.run(&RunConfig::default());
         assert_eq!(

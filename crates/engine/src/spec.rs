@@ -850,20 +850,22 @@ impl PatternSpec {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum LaneSpec {
-    /// Let the engine choose: the bit-packed two-colour lane when eligible,
-    /// the generic frontier otherwise.
+    /// Let the engine choose: the bit-plane lane when eligible (a
+    /// degree-4 torus of at least two rows, at most 16 colours and a rule
+    /// with a [`ctori_protocols::ColorCountRule`] form), the generic
+    /// frontier otherwise.
     Auto,
     /// Force the generic colour-vector frontier (used by lane-equivalence
     /// experiments and benchmarks).
     GenericFrontier,
-    /// Force the exhaustive full sweep on the generic backend (the PR-1
-    /// stepper, kept for baselines and non-local rules).
+    /// Force the exhaustive full sweep on the generic backend (the
+    /// reference stepper of the lane-equivalence tests and baselines).
     FullSweep,
-    /// Force the multi-colour bit-plane lane (word-parallel popcount
-    /// kernel over `⌈log₂ k⌉` planes).  Falls back to the current backend
-    /// when the run is ineligible (more than 16 colours, non-torus
-    /// adjacency, or a rule without a
-    /// [`ctori_protocols::ColorCountRule`] form).
+    /// Force the bit-plane lane (word-parallel popcount kernel over
+    /// `⌈log₂ k⌉` planes), also on tori the automatic choice skips.
+    /// Falls back to the current backend when the run is ineligible (more
+    /// than 16 colours, or a rule without a
+    /// [`ctori_protocols::ColorCountRule`] form the lane covers).
     Planes,
 }
 
@@ -1272,7 +1274,7 @@ impl RunSpec {
     /// from the digest: specs differing only in those knobs share a cache
     /// slot.  Every other option is part of the address — even `lane`
     /// reaches the outcome through
-    /// [`crate::RunOutcome::used_packed_lane`].
+    /// [`crate::RunOutcome::used_plane_lane`].
     pub fn canonical_key(&self) -> SpecKey {
         // Shares to_text()'s renderer (only the small options struct is
         // copied to normalise the outcome-irrelevant knobs), so the
@@ -1636,7 +1638,7 @@ mod tests {
             .clone()
             .with_options(EngineOptions::default().with_progress_every(16));
         assert_eq!(sampled.canonical_key(), key);
-        // But lane forcing can (it reaches RunOutcome::used_packed_lane).
+        // But lane forcing can (it reaches RunOutcome::used_plane_lane).
         let forced = spec
             .clone()
             .with_options(EngineOptions::default().with_lane(LaneSpec::FullSweep));

@@ -1,26 +1,22 @@
 //! State-vector backends of the simulator.
 //!
 //! The simulator stores the configuration behind the [`StateVec`]
-//! abstraction, which has three backends:
+//! abstraction, which has two backends:
 //!
 //! * [`StateVec::Generic`] — one [`Color`] (`u16`) per vertex plus an
 //!   incrementally maintained per-colour census, serving any rule and any
 //!   palette;
-//! * [`StateVec::Packed`] — one **bit** per vertex inside a
-//!   [`PackedFrontier`] lane, used when the initial configuration has at
-//!   most two colours and the rule advertises a two-colour degenerate form
-//!   through [`ctori_protocols::LocalRule::as_two_state_threshold`];
-//! * [`StateVec::Planes`] — `⌈log₂ k⌉` bits per vertex inside a
-//!   [`PlaneLane`], used when up to 16 colours are present and the rule
-//!   advertises a per-colour counting form through
+//! * [`StateVec::Planes`] — `⌈log₂ k⌉` bits per vertex (one bit for one
+//!   or two colours) inside a [`PlaneLane`], used on 4-regular tori when
+//!   at most 16 colours are present and the rule advertises a per-colour
+//!   counting form through
 //!   [`ctori_protocols::LocalRule::as_color_count_rule`].
 //!
-//! All backends keep their aggregate queries (`count_of`,
+//! Both backends keep their aggregate queries (`count_of`,
 //! `monochromatic`, `histogram_counts`) O(palette) or better by updating
 //! counters as changes are applied, so the run loop never re-scans the
 //! configuration between rounds.
 
-use crate::frontier::PackedFrontier;
 use crate::planes::PlaneLane;
 use ctori_coloring::Color;
 
@@ -103,20 +99,12 @@ pub enum StateVec {
         /// Incremental per-colour census of `colors`.
         census: ColorCensus,
     },
-    /// One bit per vertex inside a packed two-colour lane.
-    Packed {
-        /// The bit state plus the frontier scheduler and flip thresholds.
-        lane: PackedFrontier,
-        /// The colour a 0-bit stands for.
-        zero: Color,
-        /// The colour a 1-bit stands for.
-        one: Color,
-    },
-    /// `⌈log₂ k⌉` bits per vertex across the bit-planes of a multi-colour
-    /// lane (the lane owns its palette and per-colour census).
+    /// `⌈log₂ k⌉` bits per vertex across the bit-planes of a plane lane
+    /// (the lane owns its palette and per-colour census).
     Planes {
-        /// The bit-plane state plus the word-granular frontier scheduler.
-        lane: PlaneLane,
+        /// The bit-plane state plus the word-granular frontier scheduler
+        /// (boxed: the lane's bookkeeping dwarfs the generic variant).
+        lane: Box<PlaneLane>,
     },
 }
 
@@ -125,7 +113,6 @@ impl StateVec {
     pub fn len(&self) -> usize {
         match self {
             StateVec::Generic { colors, .. } => colors.len(),
-            StateVec::Packed { lane, .. } => lane.len(),
             StateVec::Planes { lane } => lane.len(),
         }
     }
@@ -135,12 +122,7 @@ impl StateVec {
         self.len() == 0
     }
 
-    /// Whether the packed two-colour backend is in use.
-    pub fn is_packed(&self) -> bool {
-        matches!(self, StateVec::Packed { .. })
-    }
-
-    /// Whether the multi-colour bit-plane backend is in use.
+    /// Whether the bit-plane backend is in use.
     pub fn is_planes(&self) -> bool {
         matches!(self, StateVec::Planes { .. })
     }
@@ -150,13 +132,6 @@ impl StateVec {
     pub fn color_of(&self, v: usize) -> Color {
         match self {
             StateVec::Generic { colors, .. } => colors[v],
-            StateVec::Packed { lane, zero, one } => {
-                if lane.is_one(v) {
-                    *one
-                } else {
-                    *zero
-                }
-            }
             StateVec::Planes { lane } => lane.color_at(v),
         }
     }
@@ -165,9 +140,6 @@ impl StateVec {
     pub fn snapshot(&self) -> Vec<Color> {
         match self {
             StateVec::Generic { colors, .. } => colors.clone(),
-            StateVec::Packed { lane, zero, one } => (0..lane.len())
-                .map(|v| if lane.is_one(v) { *one } else { *zero })
-                .collect(),
             StateVec::Planes { lane } => lane.snapshot(),
         }
     }
@@ -177,39 +149,17 @@ impl StateVec {
     pub fn count_of(&self, k: Color) -> usize {
         match self {
             StateVec::Generic { census, .. } => census.count(k),
-            StateVec::Packed { lane, zero, one } => {
-                if k == *one {
-                    lane.ones()
-                } else if k == *zero {
-                    lane.len() - lane.ones()
-                } else {
-                    0
-                }
-            }
             StateVec::Planes { lane } => lane.count_of(k),
         }
     }
 
     /// The `(colour, count)` pairs of every colour currently present, in
-    /// ascending colour order (O(palette) on the generic and plane
-    /// backends, O(1) on the packed lane) — never O(vertices), which is
+    /// ascending colour order (O(palette)) — never O(vertices), which is
     /// what keeps per-round histogram observers cheap.
     pub fn histogram_counts(&self) -> Vec<(Color, usize)> {
         match self {
             StateVec::Generic { census, .. } => census.present(),
             StateVec::Planes { lane } => lane.histogram(),
-            StateVec::Packed { lane, zero, one } => {
-                let ones = lane.ones();
-                let zeros = lane.len() - ones;
-                let mut counts = Vec::with_capacity(2);
-                for (color, count) in [(*zero, zeros), (*one, ones)] {
-                    if count > 0 {
-                        counts.push((color, count));
-                    }
-                }
-                counts.sort_unstable_by_key(|(c, _)| c.index());
-                counts
-            }
         }
     }
 
@@ -220,15 +170,6 @@ impl StateVec {
         }
         match self {
             StateVec::Generic { colors, census } => (census.distinct() == 1).then(|| colors[0]),
-            StateVec::Packed { lane, zero, one } => {
-                if lane.ones() == lane.len() {
-                    Some(*one)
-                } else if lane.ones() == 0 {
-                    Some(*zero)
-                } else {
-                    None
-                }
-            }
             StateVec::Planes { lane } => lane.monochromatic(),
         }
     }
@@ -262,30 +203,10 @@ mod tests {
             colors,
         };
         assert_eq!(state.len(), 3);
-        assert!(!state.is_packed());
+        assert!(!state.is_planes());
         assert_eq!(state.color_of(1), c(2));
         assert_eq!(state.count_of(c(1)), 2);
         assert_eq!(state.monochromatic(), None);
         assert_eq!(state.snapshot(), vec![c(1), c(2), c(1)]);
-    }
-
-    #[test]
-    fn packed_state_queries() {
-        let mut lane = PackedFrontier::new(4, vec![u32::MAX; 4], vec![u32::MAX; 4]);
-        lane.set_one(2);
-        let state = StateVec::Packed {
-            lane,
-            zero: c(1),
-            one: c(2),
-        };
-        assert_eq!(state.len(), 4);
-        assert!(state.is_packed());
-        assert_eq!(state.color_of(2), c(2));
-        assert_eq!(state.color_of(0), c(1));
-        assert_eq!(state.count_of(c(2)), 1);
-        assert_eq!(state.count_of(c(1)), 3);
-        assert_eq!(state.count_of(c(7)), 0);
-        assert_eq!(state.monochromatic(), None);
-        assert_eq!(state.snapshot(), vec![c(1), c(1), c(2), c(1)]);
     }
 }

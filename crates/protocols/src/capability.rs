@@ -2,154 +2,15 @@
 //!
 //! Every rule in this crate is a pure function of a vertex's own colour and
 //! its neighbours' colours, but several of them have much more structure
-//! than the generic [`crate::LocalRule::next_color`] signature exposes.
-//! Restricted to **two** colours, each of the paper's rules degenerates to a
-//! pair of counting thresholds — "flip to the other colour once at least
-//! `t` neighbours hold it" — which is exactly the shape a bit-packed
-//! simulation lane can evaluate with popcounts instead of colour multiset
-//! scans.  [`TwoStateThreshold`] is the declarative description of that
-//! degenerate form; rules advertise it through
-//! [`crate::LocalRule::as_two_state_threshold`] and the engine resolves it
-//! against the concrete colour pair and vertex degrees **once** at
-//! simulator construction, so the hot loop never touches the rule object.
+//! than the generic [`crate::LocalRule::next_color`] signature exposes:
+//! they depend on the neighbourhood only through per-colour neighbour
+//! counts.  [`ColorCountRule`] is the declarative description of that
+//! counting form; rules advertise it through
+//! [`crate::LocalRule::as_color_count_rule`] and the engine compiles it
+//! against the concrete palette **once** at simulator construction, so the
+//! bit-plane lane's hot loop never touches the rule object.
 
 use ctori_coloring::Color;
-
-/// Sentinel threshold meaning "this flip can never happen".
-///
-/// Returned by [`TwoStateThreshold::flip_thresholds`] for monotone rules
-/// (an activated vertex never deactivates) and for locked colours; no
-/// vertex degree can reach it.
-pub const NEVER: u32 = u32::MAX;
-
-/// The counting core of a two-state rule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Base {
-    /// Adopt the strict majority colour of the neighbourhood, provided at
-    /// least `min_pair` neighbours hold it; on an exact tie the vertex
-    /// keeps its colour unless `tie_to` names one of the two colours, in
-    /// which case the tie resolves to that colour.
-    Majority {
-        min_pair: u32,
-        tie_to: Option<Color>,
-    },
-    /// Monotone activation: a non-`active` vertex adopts `active` once at
-    /// least `threshold` neighbours hold it, and `active` is never dropped.
-    Activation { active: Color, threshold: u32 },
-}
-
-/// Declarative description of a rule restricted to a two-colour state
-/// space.
-///
-/// A rule that returns one of these from
-/// [`crate::LocalRule::as_two_state_threshold`] promises: *whenever every
-/// vertex holds one of two colours `(zero, one)`, my
-/// [`next_color`](crate::LocalRule::next_color) is equivalent to the pair
-/// of flip thresholds produced by [`flip_thresholds`]* — for **every**
-/// ordered colour pair and every degree.  The engine verifies nothing; the
-/// property tests in `tests/stepper_equivalence.rs` pin the equivalence
-/// for every rule in the workspace.
-///
-/// [`flip_thresholds`]: TwoStateThreshold::flip_thresholds
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TwoStateThreshold {
-    base: Base,
-    /// A colour whose holders never change again (the irreversible
-    /// wrapper's target).
-    locked: Option<Color>,
-}
-
-impl TwoStateThreshold {
-    /// A strict-majority rule requiring a pair of at least `min_pair`
-    /// equal-coloured neighbours, keeping the current colour on ties
-    /// (the two-colour restriction of the SMP-Protocol with
-    /// `min_pair = 2`, of reverse strong majority with `min_pair = 3`).
-    pub fn majority(min_pair: u32) -> Self {
-        TwoStateThreshold {
-            base: Base::Majority {
-                min_pair,
-                tie_to: None,
-            },
-            locked: None,
-        }
-    }
-
-    /// Monotone activation at `threshold` active neighbours (the linear
-    /// threshold rule).
-    pub fn activation(active: Color, threshold: u32) -> Self {
-        TwoStateThreshold {
-            base: Base::Activation { active, threshold },
-            locked: None,
-        }
-    }
-
-    /// Resolves exact ties towards `color` when it is one of the two state
-    /// colours (the Prefer-Black tie-break of \[15\]).
-    pub fn with_tie_to(mut self, color: Color) -> Self {
-        if let Base::Majority { tie_to, .. } = &mut self.base {
-            *tie_to = Some(color);
-        }
-        self
-    }
-
-    /// Locks `color`: a vertex holding it never changes again (the
-    /// irreversible wrapper).
-    pub fn with_locked(mut self, color: Color) -> Self {
-        self.locked = Some(color);
-        self
-    }
-
-    /// Resolves the descriptor against an ordered colour pair and a vertex
-    /// degree.
-    ///
-    /// Returns `(up, down)`: a `zero`-coloured vertex of degree `degree`
-    /// flips to `one` when at least `up` of its neighbours hold `one`, and
-    /// a `one`-coloured vertex flips to `zero` when at least `down` of its
-    /// neighbours hold `zero`.  [`NEVER`] marks a flip that cannot happen.
-    /// The thresholds are exact for *any* degree, so non-regular graphs
-    /// resolve per vertex.
-    pub fn flip_thresholds(&self, zero: Color, one: Color, degree: usize) -> (u32, u32) {
-        let d = degree as u32;
-        let (mut up, mut down) = match self.base {
-            Base::Majority { min_pair, tie_to } => {
-                // Strict majority needs floor(d/2)+1 neighbours; an exact
-                // tie (only possible for even d) additionally flips towards
-                // the preferred colour at d/2.
-                let strict = d / 2 + 1;
-                let even = d.is_multiple_of(2);
-                let up_base = if even && tie_to == Some(one) {
-                    d / 2
-                } else {
-                    strict
-                };
-                let down_base = if even && tie_to == Some(zero) {
-                    d / 2
-                } else {
-                    strict
-                };
-                (up_base.max(min_pair), down_base.max(min_pair))
-            }
-            Base::Activation { active, threshold } => {
-                if one == active {
-                    (threshold, NEVER)
-                } else if zero == active {
-                    (NEVER, threshold)
-                } else {
-                    // Neither state colour is the activation colour: no
-                    // vertex ever sees an active neighbour, nothing moves.
-                    (NEVER, NEVER)
-                }
-            }
-        };
-        if self.locked == Some(zero) {
-            up = NEVER;
-        }
-        if self.locked == Some(one) {
-            down = NEVER;
-        }
-        (up, down)
-    }
-}
 
 /// The counting core of a rule over an **arbitrary** palette.
 ///
@@ -162,6 +23,8 @@ pub enum ColorCountForm {
     /// Adopt the colour held by a **unique strict plurality** of at least
     /// `min_pair` neighbours; keep the current colour on ties or when no
     /// colour reaches `min_pair` (the SMP-Protocol with `min_pair = 2`).
+    /// [`ColorCountRule::with_tie_to`] resolves ties towards one colour
+    /// instead.
     Plurality {
         /// Minimum multiplicity the winning colour must reach.
         min_pair: u32,
@@ -179,9 +42,7 @@ pub enum ColorCountForm {
 /// Declarative description of a rule as a pure function of **per-colour
 /// neighbour counts**, valid on any palette.
 ///
-/// Where [`TwoStateThreshold`] is the two-colour degenerate form a rule
-/// exposes for the bit-packed lane, `ColorCountRule` is the full
-/// multi-colour form the engine's **bit-plane lane** evaluates with
+/// This is the form the engine's **bit-plane lane** evaluates with
 /// per-plane popcounts: a rule returning one of these from
 /// [`crate::LocalRule::as_color_count_rule`] promises that its
 /// [`next_color`](crate::LocalRule::next_color) depends on the
@@ -196,6 +57,9 @@ pub struct ColorCountRule {
     /// A colour whose holders never change again (the irreversible
     /// wrapper's target).
     locked: Option<Color>,
+    /// The colour a plurality tie resolves to when it is among the tied
+    /// colours (the Prefer-Black tie-break of \[15\]).
+    tie_to: Option<Color>,
 }
 
 impl ColorCountRule {
@@ -205,6 +69,7 @@ impl ColorCountRule {
         ColorCountRule {
             form: ColorCountForm::Plurality { min_pair },
             locked: None,
+            tie_to: None,
         }
     }
 
@@ -215,6 +80,7 @@ impl ColorCountRule {
         ColorCountRule {
             form: ColorCountForm::Activation { active, threshold },
             locked: None,
+            tie_to: None,
         }
     }
 
@@ -222,6 +88,17 @@ impl ColorCountRule {
     /// irreversible wrapper).
     pub fn with_locked(mut self, color: Color) -> Self {
         self.locked = Some(color);
+        self
+    }
+
+    /// Resolves plurality ties towards `color`: when two or more colours
+    /// tie for the plurality at `min_pair` or more neighbours and `color`
+    /// is one of them, the vertex adopts `color` (the Prefer-Black
+    /// tie-break of \[15\]).  Activation forms have no ties and ignore it.
+    pub fn with_tie_to(mut self, color: Color) -> Self {
+        if let ColorCountForm::Plurality { .. } = self.form {
+            self.tie_to = Some(color);
+        }
         self
     }
 
@@ -233,6 +110,11 @@ impl ColorCountRule {
     /// The locked colour, if any.
     pub fn locked(&self) -> Option<Color> {
         self.locked
+    }
+
+    /// The colour plurality ties resolve to, if any.
+    pub fn tie_to(&self) -> Option<Color> {
+        self.tie_to
     }
 
     /// Reference evaluation against per-colour neighbour counts.
@@ -265,6 +147,12 @@ impl ColorCountRule {
                 }
                 match leader {
                     Some((c, n)) if !tied && n >= min_pair => c,
+                    // A tie at `min_pair` or more resolves to the tie
+                    // colour when it is one of the leaders.
+                    Some((_, n)) if n >= min_pair => match self.tie_to {
+                        Some(t) if counts.iter().any(|&(c, m)| c == t && m == n) => t,
+                        _ => own,
+                    },
                     _ => own,
                 }
             }
@@ -296,54 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn smp_on_degree_four_is_three_three() {
-        // Unique plurality of >= 2 on two colours and d = 4: a flip needs a
-        // strict majority, i.e. 3 of 4 neighbours, in both directions.
-        let t = TwoStateThreshold::majority(2);
-        assert_eq!(t.flip_thresholds(c(1), c(2), 4), (3, 3));
-        assert_eq!(t.flip_thresholds(c(2), c(1), 4), (3, 3));
-    }
-
-    #[test]
-    fn min_pair_dominates_small_degrees() {
-        // On a path (d = 1) the SMP pair requirement can never be met.
-        let t = TwoStateThreshold::majority(2);
-        let (up, down) = t.flip_thresholds(c(1), c(2), 1);
-        assert!(up > 1 && down > 1, "no flip possible at degree 1");
-        // d = 3: strict majority 2 already satisfies the pair requirement.
-        assert_eq!(t.flip_thresholds(c(1), c(2), 3), (2, 2));
-    }
-
-    #[test]
-    fn prefer_black_tie_break_is_asymmetric() {
-        let t = TwoStateThreshold::majority(2).with_tie_to(Color::BLACK);
-        // (white, black): white flips on a 2-2 tie, black needs 3 whites.
-        assert_eq!(t.flip_thresholds(Color::WHITE, Color::BLACK, 4), (2, 3));
-        // Pair order reversed: the tie now helps the `zero` colour.
-        assert_eq!(t.flip_thresholds(Color::BLACK, Color::WHITE, 4), (3, 2));
-        // A pair not containing black behaves like prefer-current.
-        assert_eq!(t.flip_thresholds(c(3), c(4), 4), (3, 3));
-    }
-
-    #[test]
-    fn activation_orientations() {
-        let t = TwoStateThreshold::activation(c(2), 2);
-        assert_eq!(t.flip_thresholds(c(1), c(2), 4), (2, NEVER));
-        assert_eq!(t.flip_thresholds(c(2), c(1), 4), (NEVER, 2));
-        assert_eq!(t.flip_thresholds(c(3), c(4), 4), (NEVER, NEVER));
-    }
-
-    #[test]
-    fn locking_disables_one_direction() {
-        let t = TwoStateThreshold::majority(2).with_locked(c(2));
-        assert_eq!(t.flip_thresholds(c(1), c(2), 4), (3, NEVER));
-        assert_eq!(t.flip_thresholds(c(2), c(1), 4), (NEVER, 3));
-        // Locking a colour outside the pair changes nothing.
-        let t = TwoStateThreshold::majority(2).with_locked(c(9));
-        assert_eq!(t.flip_thresholds(c(1), c(2), 4), (3, 3));
-    }
-
-    #[test]
     fn color_count_plurality_matches_the_smp_patterns() {
         let rule = ColorCountRule::plurality(2);
         // 4-0, 3-1, 2-1-1: unique plurality of >= 2 adopts.
@@ -364,6 +204,57 @@ mod tests {
         assert_eq!(rule.next_color(c(1), &[]), c(1));
         assert_eq!(rule.form(), ColorCountForm::Plurality { min_pair: 2 });
         assert_eq!(rule.locked(), None);
+        assert_eq!(rule.tie_to(), None);
+    }
+
+    #[test]
+    fn tie_to_resolves_degree_four_ties_involving_its_colour() {
+        let black = Color::BLACK;
+        let white = Color::WHITE;
+        let rule = ColorCountRule::plurality(2).with_tie_to(black);
+        assert_eq!(rule.tie_to(), Some(black));
+        // 2-2 with black: black, whatever the vertex holds.
+        assert_eq!(rule.next_color(white, &[(black, 2), (white, 2)]), black);
+        assert_eq!(rule.next_color(c(5), &[(white, 2), (black, 2)]), black);
+        // 2-2 without black: keep the current colour.
+        assert_eq!(rule.next_color(white, &[(c(3), 2), (c(4), 2)]), white);
+        // 3-1: the unique plurality wins, even against black.
+        assert_eq!(rule.next_color(black, &[(white, 3), (black, 1)]), white);
+        assert_eq!(rule.next_color(white, &[(black, 3), (white, 1)]), black);
+        // 1-1-1-1 never reaches min_pair, so a singleton tie stays put.
+        assert_eq!(
+            rule.next_color(c(9), &[(black, 1), (white, 1), (c(3), 1), (c(4), 1)]),
+            c(9)
+        );
+    }
+
+    #[test]
+    fn tie_to_resolves_ties_at_any_degree() {
+        let black = Color::BLACK;
+        let rule = ColorCountRule::plurality(2).with_tie_to(black);
+        // Degree 6, 3-3: black when black is one of the two.
+        assert_eq!(rule.next_color(c(1), &[(black, 3), (c(1), 3)]), black);
+        assert_eq!(rule.next_color(c(1), &[(c(3), 3), (c(1), 3)]), c(1));
+        // Degree 6, 2-2-2: black when black is among the leaders...
+        assert_eq!(
+            rule.next_color(c(1), &[(c(3), 2), (black, 2), (c(1), 2)]),
+            black
+        );
+        assert_eq!(
+            rule.next_color(c(1), &[(c(3), 2), (c(4), 2), (c(1), 2)]),
+            c(1)
+        );
+        // ...but not when it trails them (3-2-1).
+        assert_eq!(
+            rule.next_color(c(1), &[(c(3), 3), (black, 2), (c(1), 1)]),
+            c(3)
+        );
+        // A tie below min_pair stays a non-decision.
+        let strict = ColorCountRule::plurality(4).with_tie_to(black);
+        assert_eq!(strict.next_color(c(1), &[(black, 3), (c(3), 3)]), c(1));
+        // Activation forms have no ties to resolve.
+        let activation = ColorCountRule::activation(c(2), 2).with_tie_to(black);
+        assert_eq!(activation.tie_to(), None);
     }
 
     #[test]
@@ -386,15 +277,5 @@ mod tests {
         // Other vertices follow the plurality as usual (including into
         // the locked colour).
         assert_eq!(rule.next_color(c(1), &[(c(7), 3), (c(2), 1)]), c(7));
-    }
-
-    #[test]
-    fn strong_majority_min_pair_raises_even_degrees() {
-        let t = TwoStateThreshold::majority(3);
-        assert_eq!(t.flip_thresholds(c(1), c(2), 4), (3, 3));
-        // d = 6: strict majority 4 dominates the pair requirement.
-        assert_eq!(t.flip_thresholds(c(1), c(2), 6), (4, 4));
-        // d = 5: strict majority 3 equals the pair requirement.
-        assert_eq!(t.flip_thresholds(c(1), c(2), 5), (3, 3));
     }
 }

@@ -8,7 +8,7 @@
 //! irreversible counterpart with respect to a target colour `k`, which the
 //! experiments use to compare the two regimes.
 
-use crate::capability::{ColorCountRule, TwoStateThreshold};
+use crate::capability::ColorCountRule;
 use crate::rule::LocalRule;
 use ctori_coloring::Color;
 
@@ -52,18 +52,6 @@ impl<R: LocalRule> LocalRule for Irreversible<R> {
 
     fn is_monotone_for(&self, k: Color) -> bool {
         k == self.target
-    }
-
-    fn is_local(&self) -> bool {
-        self.inner.is_local()
-    }
-
-    fn as_two_state_threshold(&self) -> Option<TwoStateThreshold> {
-        Some(
-            self.inner
-                .as_two_state_threshold()?
-                .with_locked(self.target),
-        )
     }
 
     fn as_color_count_rule(&self) -> Option<ColorCountRule> {

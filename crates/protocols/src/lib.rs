@@ -62,7 +62,7 @@ pub mod rule;
 pub mod smp;
 pub mod threshold;
 
-pub use capability::{ColorCountForm, ColorCountRule, TwoStateThreshold};
+pub use capability::{ColorCountForm, ColorCountRule};
 pub use counting::{plurality, ColorCounts};
 pub use irreversible::Irreversible;
 pub use majority::{ReverseSimpleMajority, ReverseStrongMajority, TieBreak};

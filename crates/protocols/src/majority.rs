@@ -24,7 +24,7 @@
 //! they can also be run on multi-coloured configurations for comparison
 //! experiments.
 
-use crate::capability::{ColorCountRule, TwoStateThreshold};
+use crate::capability::ColorCountRule;
 use crate::rule::LocalRule;
 use ctori_coloring::Color;
 
@@ -96,26 +96,15 @@ impl LocalRule for ReverseSimpleMajority {
         }
     }
 
-    fn as_two_state_threshold(&self) -> Option<TwoStateThreshold> {
-        // On two colours the leader either has a strict majority (adopt) or
-        // exactly half the neighbourhood; the tie-break decides the rest.
-        let t = TwoStateThreshold::majority(Self::THRESHOLD as u32);
-        Some(match self.tie_break {
-            TieBreak::PreferBlack => t.with_tie_to(Color::BLACK),
-            TieBreak::PreferCurrent => t,
-        })
-    }
-
     fn as_color_count_rule(&self) -> Option<ColorCountRule> {
-        // Prefer-Current is a pure counting rule: adopt the unique leader
-        // at multiplicity >= 2, keep on ties.  The Prefer-Black tie-break
-        // recolours on a tie *involving black*, which depends on which
-        // colour is black rather than on counts alone, so it stays off the
-        // plane lane.
-        match self.tie_break {
-            TieBreak::PreferCurrent => Some(ColorCountRule::plurality(Self::THRESHOLD as u32)),
-            TieBreak::PreferBlack => None,
-        }
+        // Adopt the unique leader at multiplicity >= 2; a tie keeps the
+        // current colour, except that Prefer-Black resolves a tie
+        // *involving black* to black.
+        let rule = ColorCountRule::plurality(Self::THRESHOLD as u32);
+        Some(match self.tie_break {
+            TieBreak::PreferCurrent => rule,
+            TieBreak::PreferBlack => rule.with_tie_to(Color::BLACK),
+        })
     }
 }
 
@@ -139,10 +128,6 @@ impl LocalRule for ReverseStrongMajority {
 
     fn name(&self) -> &'static str {
         "reverse strong majority"
-    }
-
-    fn as_two_state_threshold(&self) -> Option<TwoStateThreshold> {
-        Some(TwoStateThreshold::majority(Self::THRESHOLD as u32))
     }
 
     fn as_color_count_rule(&self) -> Option<ColorCountRule> {

@@ -22,13 +22,12 @@
 //! Colour parameters are the 1-based colour indices of
 //! [`ctori_coloring::Color`].
 //!
-//! Every registered rule advertises its capability forms
-//! ([`crate::rule::LocalRule::as_two_state_threshold`] and
-//! [`crate::rule::LocalRule::as_color_count_rule`]) through the
+//! Every registered rule advertises its counting form
+//! ([`crate::rule::LocalRule::as_color_count_rule`]) through the
 //! [`AnyRule`] forwarders, so a scenario selected *by name* qualifies
-//! for the engine's packed and bit-plane lanes exactly like one built
-//! from the concrete rule type — lane auto-selection never depends on
-//! how the rule was constructed.
+//! for the engine's bit-plane lane exactly like one built from the
+//! concrete rule type — lane auto-selection never depends on how the
+//! rule was constructed.
 
 use crate::irreversible::Irreversible;
 use crate::majority::{ReverseSimpleMajority, ReverseStrongMajority, TieBreak};
@@ -228,28 +227,34 @@ mod tests {
     }
 
     /// Counting-form capability is what routes a *name-selected* scenario
-    /// onto the multi-colour bit-plane lane, so a regression here silently
-    /// drops parsed `RunSpec`s back to the generic stepper.  Prefer-black
-    /// is the one deliberate exception: its tie-break depends on which
-    /// colour is black, not on counts alone.
+    /// onto the bit-plane lane, so a regression here silently drops parsed
+    /// `RunSpec`s back to the generic stepper.  Prefer-black is pinned to
+    /// its black tie-break, the one form that depends on which colour is
+    /// black rather than on counts alone.
     #[test]
     fn registered_rules_advertise_their_counting_form() {
-        let counting = [
-            "smp",
-            "prefer-current",
-            "strong-majority",
-            "irreversible-smp(3)",
-            "threshold(2,2)",
+        use crate::capability::ColorCountRule;
+        let expected = [
+            ("smp", ColorCountRule::plurality(2)),
+            (
+                "prefer-black",
+                ColorCountRule::plurality(2).with_tie_to(Color::BLACK),
+            ),
+            ("prefer-current", ColorCountRule::plurality(2)),
+            ("strong-majority", ColorCountRule::plurality(3)),
+            (
+                "irreversible-smp(3)",
+                ColorCountRule::plurality(2).with_locked(Color::new(3)),
+            ),
+            (
+                "threshold(2,2)",
+                ColorCountRule::activation(Color::new(2), 2),
+            ),
         ];
-        for text in counting {
+        for (text, form) in expected {
             let rule = parse(text).unwrap_or_else(|e| panic!("{text}: {e}"));
-            assert!(
-                rule.as_color_count_rule().is_some(),
-                "{text}: no ColorCountRule capability"
-            );
+            assert_eq!(rule.as_color_count_rule(), Some(form), "{text}");
         }
-        let prefer_black = parse("prefer-black").unwrap();
-        assert!(prefer_black.as_color_count_rule().is_none());
     }
 
     #[test]

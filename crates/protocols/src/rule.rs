@@ -1,6 +1,6 @@
 //! The [`LocalRule`] trait and a dynamic-dispatch wrapper.
 
-use crate::capability::{ColorCountRule, TwoStateThreshold};
+use crate::capability::ColorCountRule;
 use crate::irreversible::Irreversible;
 use crate::majority::{ReverseSimpleMajority, ReverseStrongMajority, TieBreak};
 use crate::smp::SmpProtocol;
@@ -28,43 +28,15 @@ pub trait LocalRule: Send + Sync {
         false
     }
 
-    /// Whether the rule is *local*: [`next_color`](LocalRule::next_color)
-    /// is a pure function of the vertex's own colour and its neighbours'
-    /// colours (no round counters, no randomness, no global state).
-    ///
-    /// Locality is what makes incremental *frontier stepping* sound: if
-    /// neither a vertex nor any of its neighbours changed in round `t`,
-    /// the vertex re-evaluates to the same colour in round `t + 1`, so the
-    /// engine only needs to visit last round's changed vertices and their
-    /// out-neighbours.  Every rule in this workspace is local; the default
-    /// is `true` and a future non-local rule must override it to keep the
-    /// engine on the exhaustive full-sweep path.
-    fn is_local(&self) -> bool {
-        true
-    }
-
-    /// The rule's two-colour degenerate form, if it has one.
-    ///
-    /// Returning `Some` promises that on any state space of exactly two
-    /// colours the rule is equivalent to the returned
-    /// [`TwoStateThreshold`] (see its docs for the exact contract).  The
-    /// engine uses this to route two-colour runs onto its bit-packed
-    /// simulation lane, where neighbourhoods are evaluated by popcount
-    /// instead of colour multiset scans.  The default is `None`, which
-    /// keeps the rule on the generic lane.
-    fn as_two_state_threshold(&self) -> Option<TwoStateThreshold> {
-        None
-    }
-
     /// The rule's per-colour counting form, if it has one.
     ///
     /// Returning `Some` promises that on **any** palette the rule is
     /// equivalent to the returned [`ColorCountRule`] (see its docs for the
-    /// exact contract).  The engine uses this to route multi-colour runs
-    /// onto its bit-plane lane, where neighbourhoods are evaluated by
-    /// per-plane popcounts over 64-vertex words instead of per-vertex
-    /// colour multiset scans.  The default is `None`, which keeps
-    /// multi-colour runs on the generic lane.
+    /// exact contract).  The engine uses this to route torus runs of up
+    /// to 16 colours onto its bit-plane lane, where neighbourhoods are
+    /// evaluated by per-plane popcounts over 64-vertex words instead of
+    /// per-vertex colour multiset scans.  The default is `None`, which
+    /// keeps the rule on the generic lane.
     fn as_color_count_rule(&self) -> Option<ColorCountRule> {
         None
     }
@@ -80,12 +52,6 @@ impl<R: LocalRule + ?Sized> LocalRule for &R {
     fn is_monotone_for(&self, k: Color) -> bool {
         (**self).is_monotone_for(k)
     }
-    fn is_local(&self) -> bool {
-        (**self).is_local()
-    }
-    fn as_two_state_threshold(&self) -> Option<TwoStateThreshold> {
-        (**self).as_two_state_threshold()
-    }
     fn as_color_count_rule(&self) -> Option<ColorCountRule> {
         (**self).as_color_count_rule()
     }
@@ -100,12 +66,6 @@ impl<R: LocalRule + ?Sized> LocalRule for Box<R> {
     }
     fn is_monotone_for(&self, k: Color) -> bool {
         (**self).is_monotone_for(k)
-    }
-    fn is_local(&self) -> bool {
-        (**self).is_local()
-    }
-    fn as_two_state_threshold(&self) -> Option<TwoStateThreshold> {
-        (**self).as_two_state_threshold()
     }
     fn as_color_count_rule(&self) -> Option<ColorCountRule> {
         (**self).as_color_count_rule()
@@ -210,26 +170,6 @@ impl LocalRule for AnyRule {
             AnyRule::ReverseStrong(r) => r.is_monotone_for(k),
             AnyRule::IrreversibleSmp(r) => r.is_monotone_for(k),
             AnyRule::Threshold(r) => r.is_monotone_for(k),
-        }
-    }
-
-    fn is_local(&self) -> bool {
-        match self {
-            AnyRule::Smp(r) => r.is_local(),
-            AnyRule::ReverseSimple(r) => r.is_local(),
-            AnyRule::ReverseStrong(r) => r.is_local(),
-            AnyRule::IrreversibleSmp(r) => r.is_local(),
-            AnyRule::Threshold(r) => r.is_local(),
-        }
-    }
-
-    fn as_two_state_threshold(&self) -> Option<TwoStateThreshold> {
-        match self {
-            AnyRule::Smp(r) => r.as_two_state_threshold(),
-            AnyRule::ReverseSimple(r) => r.as_two_state_threshold(),
-            AnyRule::ReverseStrong(r) => r.as_two_state_threshold(),
-            AnyRule::IrreversibleSmp(r) => r.as_two_state_threshold(),
-            AnyRule::Threshold(r) => r.as_two_state_threshold(),
         }
     }
 

@@ -28,7 +28,7 @@
 //! no colour priority, so restricted to two colours it does **not** reduce
 //! to the rule of \[15\] (Remark 1 of the paper builds on this).
 
-use crate::capability::{ColorCountRule, TwoStateThreshold};
+use crate::capability::ColorCountRule;
 use crate::counting::plurality;
 use crate::rule::LocalRule;
 use ctori_coloring::Color;
@@ -54,12 +54,6 @@ impl LocalRule for SmpProtocol {
 
     fn name(&self) -> &'static str {
         "SMP-Protocol"
-    }
-
-    fn as_two_state_threshold(&self) -> Option<TwoStateThreshold> {
-        // On two colours "unique plurality of >= 2" degenerates to "strict
-        // majority with a pair": ties (the 2-2 pattern) keep the colour.
-        Some(TwoStateThreshold::majority(Self::REQUIRED_PAIR as u32))
     }
 
     fn as_color_count_rule(&self) -> Option<ColorCountRule> {

@@ -11,7 +11,7 @@
 //! In colour terms: "active" is a distinguished colour `k`; every other
 //! colour counts as inactive.  The rule is monotone by definition.
 
-use crate::capability::{ColorCountRule, TwoStateThreshold};
+use crate::capability::ColorCountRule;
 use crate::rule::LocalRule;
 use ctori_coloring::Color;
 
@@ -73,11 +73,6 @@ impl LocalRule for ThresholdRule {
 
     fn is_monotone_for(&self, k: Color) -> bool {
         k == self.active
-    }
-
-    fn as_two_state_threshold(&self) -> Option<TwoStateThreshold> {
-        let threshold = u32::try_from(self.threshold).unwrap_or(u32::MAX);
-        Some(TwoStateThreshold::activation(self.active, threshold))
     }
 
     fn as_color_count_rule(&self) -> Option<ColorCountRule> {

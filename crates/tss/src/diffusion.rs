@@ -11,10 +11,7 @@
 //!   plurality of at least two neighbours.
 
 use ctori_coloring::{Color, Coloring};
-use ctori_engine::{
-    EngineOptions, PackedFrontier, RuleSpec, RunSpec, Runner, SeedSpec, Termination, TopologySpec,
-};
-use ctori_protocols::capability::NEVER;
+use ctori_engine::{EngineOptions, RuleSpec, RunSpec, Runner, SeedSpec, Termination, TopologySpec};
 use ctori_protocols::{AnyRule, SmpProtocol};
 use ctori_topology::{Adjacency, Graph, NodeId, Topology};
 
@@ -69,41 +66,52 @@ pub fn spread(graph: &Graph, thresholds: &Thresholds, seeds: &[NodeId]) -> Sprea
 
 /// Runs the linear-threshold process on a prebuilt CSR adjacency.
 ///
-/// This is a thin wrapper over the engine's packed two-colour frontier
-/// lane ([`ctori_engine::PackedFrontier`]) — the same scheduler the
-/// simulator uses for two-colour runs: active vertices are single bits,
-/// the per-vertex thresholds become the lane's up-thresholds (activation
-/// is monotone, so the down direction is [`NEVER`]), and after the first
-/// full round only the frontier — vertices adjacent to the last
-/// activations — is re-evaluated.  The activation rounds are identical to
-/// the synchronous re-scan semantics; vertices with a zero threshold need
-/// no active neighbour at all and self-activate in round 1.
+/// Counter-based: every vertex counts its active neighbours, and each
+/// activation increments its neighbours' counters once.  Counters only
+/// grow, so a vertex reaches its threshold exactly once — at that moment
+/// it is queued for the next round — and the whole spread costs
+/// O(|V| + |E|).  The activation rounds are identical to the synchronous
+/// re-scan semantics; vertices with a zero threshold need no active
+/// neighbour at all and self-activate in round 1.
 pub fn spread_on(adjacency: &Adjacency, thresholds: &Thresholds, seeds: &[NodeId]) -> SpreadResult {
     let n = adjacency.node_count();
     assert_eq!(thresholds.len(), n, "one threshold per vertex");
-    let up: Vec<u32> = thresholds
-        .iter()
-        .map(|&t| u32::try_from(t).unwrap_or(NEVER))
-        .collect();
-    let mut lane = PackedFrontier::new(n, up, vec![NEVER; n]);
     let mut activation_round = vec![None; n];
+    let mut newly: Vec<usize> = Vec::new();
     for &s in seeds {
-        lane.set_one(s.index());
-        activation_round[s.index()] = Some(0);
+        if activation_round[s.index()].is_none() {
+            activation_round[s.index()] = Some(0);
+            newly.push(s.index());
+        }
     }
-
+    let mut ready: Vec<usize> = (0..n)
+        .filter(|&v| thresholds[v] == 0 && activation_round[v].is_none())
+        .collect();
+    let mut active_neighbors = vec![0usize; n];
+    let mut activated_count = newly.len();
     let mut rounds = 0usize;
     loop {
-        if lane.step(adjacency) == 0 {
+        for &v in &newly {
+            for &u in adjacency.neighbors_raw(v) {
+                let u = u as usize;
+                active_neighbors[u] += 1;
+                if active_neighbors[u] == thresholds[u] && activation_round[u].is_none() {
+                    ready.push(u);
+                }
+            }
+        }
+        if ready.is_empty() {
             break;
         }
         rounds += 1;
-        for &v in lane.flips() {
-            activation_round[v as usize] = Some(rounds);
+        for &v in &ready {
+            activation_round[v] = Some(rounds);
         }
+        activated_count += ready.len();
+        std::mem::swap(&mut newly, &mut ready);
+        ready.clear();
     }
 
-    let activated_count = lane.ones();
     SpreadResult {
         activated_count,
         rounds,

@@ -55,10 +55,9 @@ fn main() {
             built.filler()
         );
         println!(
-            "  monotone dynamo: {}, rounds to monochromatic: {}, packed lane: {}, plane lane: {}",
+            "  monotone dynamo: {}, rounds to monochromatic: {}, plane lane: {}",
             outcome.reached_monochromatic(k) && outcome.monotone == Some(true),
             outcome.rounds,
-            outcome.used_packed_lane,
             outcome.used_plane_lane,
         );
         println!("  initial configuration (colour {k} is the spreading colour):");

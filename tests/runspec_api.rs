@@ -145,7 +145,7 @@ proptest! {
         prop_assert_eq!(&a.final_coloring, &b.final_coloring);
         prop_assert_eq!(&a.recoloring_times, &b.recoloring_times);
         prop_assert_eq!(a.monotone, b.monotone);
-        prop_assert_eq!(a.used_packed_lane, b.used_packed_lane);
+        prop_assert_eq!(a.used_plane_lane, b.used_plane_lane);
 
         // The outcome itself round-trips through its text form, exactly —
         // the property the service RESULT verb depends on.
@@ -207,7 +207,7 @@ proptest! {
         prop_assert_eq!(outcome.monotone, report.monotone);
         prop_assert_eq!(outcome.final_target_count, report.final_target_count);
         prop_assert_eq!(outcome.final_coloring, sim.coloring());
-        prop_assert_eq!(outcome.used_packed_lane, sim.uses_packed_lane());
+        prop_assert_eq!(outcome.used_plane_lane, sim.uses_plane_lane());
     }
 }
 

@@ -1,22 +1,18 @@
 //! Cross-backend equivalence properties for the incremental engine.
 //!
-//! The simulator has four data paths that must be *exact* optimisations
-//! of each other for local rules:
+//! The simulator has three data paths that must be *exact* optimisations
+//! of each other:
 //!
-//! * the bit-packed two-colour lane (auto-selected when the rule has a
-//!   [`colored_tori::protocols::TwoStateThreshold`] form and at most two
-//!   colours are present);
-//! * the multi-colour bit-plane lane (auto-selected when a degree-4 torus
-//!   run has 3–16 colours and the rule has a
+//! * the bit-plane lane (auto-selected when a degree-4 torus run has at
+//!   most 16 colours and the rule has a
 //!   [`colored_tori::protocols::ColorCountRule`] form);
 //! * the generic `Vec<Color>` backend with incremental frontier stepping;
-//! * the generic backend with the exhaustive full sweep (the PR-1
-//!   stepper, kept as the fallback for non-local rules).
+//! * the generic backend with the exhaustive full sweep (the reference).
 //!
 //! These properties pin them together round for round on all three torus
-//! kinds and every two-state-capable rule in the workspace, and pin the
-//! rewritten `tss::diffusion::spread_on` (now a thin wrapper over the
-//! engine's packed lane) to the synchronous re-scan reference semantics.
+//! kinds and every rule in the workspace, and pin the counter-based
+//! `tss::diffusion::spread_on` to the synchronous re-scan reference
+//! semantics.
 
 use colored_tori::engine::{RunConfig, Simulator};
 use colored_tori::prelude::*;
@@ -40,9 +36,9 @@ fn torus_kind() -> impl Strategy<Value = TorusKind> {
     ]
 }
 
-/// Every rule in the workspace with a two-colour degenerate form; boxed
-/// because `Irreversible<SmpProtocol>` is its own type.
-fn two_state_rules() -> Vec<Box<dyn LocalRule>> {
+/// Every rule in the workspace, each with a counting form; boxed because
+/// `Irreversible<SmpProtocol>` is its own type.
+fn bicolor_rules() -> Vec<Box<dyn LocalRule>> {
     vec![
         Box::new(SmpProtocol),
         Box::new(ReverseSimpleMajority::new(TieBreak::PreferBlack)),
@@ -70,10 +66,10 @@ fn bicolor_config(torus: &Torus, density: u8, seed: u64) -> Coloring {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Packed lane ≡ generic frontier ≡ full sweep, round for round, for
-    /// every two-state-capable rule on every torus kind.
+    /// Plane lane ≡ generic frontier ≡ full sweep, round for round, for
+    /// every rule on bi-coloured configurations of every torus kind.
     #[test]
-    fn packed_generic_and_full_sweep_agree_round_for_round(
+    fn bicolor_plane_generic_and_full_sweep_agree_round_for_round(
         kind in torus_kind(),
         m in 3usize..=9,
         n in 3usize..=9,
@@ -82,35 +78,31 @@ proptest! {
     ) {
         let torus = Torus::new(kind, m, n);
         let coloring = bicolor_config(&torus, density, seed);
-        for rule in two_state_rules() {
-            let mut packed = Simulator::new(&torus, &*rule, coloring.clone());
+        for rule in bicolor_rules() {
+            let mut planes = Simulator::new(&torus, &*rule, coloring.clone());
             let mut generic =
                 Simulator::new(&torus, &*rule, coloring.clone()).with_generic_lane();
             let mut sweep = Simulator::new(&torus, &*rule, coloring.clone())
                 .with_generic_lane()
                 .with_full_sweep();
-            // A genuinely two-coloured configuration must select the lane
-            // (a monochromatic draw legitimately stays generic).
-            if coloring.count(Color::BLACK) > 0 && coloring.count(Color::WHITE) > 0 {
-                prop_assert!(
-                    packed.uses_packed_lane(),
-                    "{} did not select the packed lane", rule.name()
-                );
-            }
+            prop_assert!(
+                planes.uses_plane_lane(),
+                "{} did not select the plane lane", rule.name()
+            );
             for round in 0..2 * (m + n) {
-                let a = packed.step();
+                let a = planes.step();
                 let b = generic.step();
                 let c = sweep.step();
                 prop_assert_eq!(
                     a, b,
-                    "packed vs generic reports diverge at round {} under {}", round, rule.name()
+                    "planes vs generic reports diverge at round {} under {}", round, rule.name()
                 );
                 prop_assert_eq!(
                     b, c,
                     "generic vs full-sweep reports diverge at round {} under {}",
                     round, rule.name()
                 );
-                prop_assert_eq!(packed.snapshot(), generic.snapshot());
+                prop_assert_eq!(planes.snapshot(), generic.snapshot());
                 prop_assert_eq!(generic.snapshot(), sweep.snapshot());
             }
         }
@@ -135,8 +127,8 @@ proptest! {
             _ => AnyRule::Threshold(ThresholdRule::new(Color::BLACK, 2)),
         };
         let config = RunConfig::for_dynamo(Color::BLACK);
-        let mut packed = Simulator::new(&torus, rule.clone(), coloring.clone());
-        let a = packed.run(&config);
+        let mut planes = Simulator::new(&torus, rule.clone(), coloring.clone());
+        let a = planes.run(&config);
         let mut generic = Simulator::new(&torus, rule, coloring).with_generic_lane();
         let b = generic.run(&config);
         prop_assert_eq!(a.termination, b.termination);
@@ -144,7 +136,7 @@ proptest! {
         prop_assert_eq!(a.monotone, b.monotone);
         prop_assert_eq!(a.recoloring_times, b.recoloring_times);
         prop_assert_eq!(a.final_target_count, b.final_target_count);
-        prop_assert_eq!(packed.snapshot(), generic.snapshot());
+        prop_assert_eq!(planes.snapshot(), generic.snapshot());
     }
 }
 
@@ -161,13 +153,14 @@ fn multicolor_config(torus: &Torus, k: u16, seed: u64) -> Coloring {
 }
 
 /// Every rule in the workspace with a per-colour counting form —
-/// including the strong majority (the only `min_pair = 3` plurality) and
-/// prefer-current (plurality behind a tie-break enum), so all compiled
-/// plane-kernel decision arms are pinned.
+/// including the strong majority (the only `min_pair = 3` plurality),
+/// prefer-current (plurality behind a tie-break enum) and prefer-black
+/// (the tie mask), so all compiled plane-kernel decision arms are pinned.
 fn counting_rules(k: u16) -> Vec<Box<dyn LocalRule>> {
     vec![
         Box::new(SmpProtocol),
         Box::new(ReverseSimpleMajority::prefer_current()),
+        Box::new(ReverseSimpleMajority::prefer_black()),
         Box::new(ReverseStrongMajority),
         Box::new(ThresholdRule::new(Color::new(k), 2)),
         Box::new(Irreversible::new(SmpProtocol, Color::new(1))),
@@ -186,14 +179,11 @@ proptest! {
         kind in torus_kind(),
         m in 3usize..=8,
         n in prop_oneof![3usize..=9, 60usize..=70],
-        k in 3u16..=8,
+        k in 2u16..=8,
         seed in any::<u64>(),
     ) {
         let torus = Torus::new(kind, m, n);
         let coloring = multicolor_config(&torus, k, seed);
-        let distinct = (1..=k)
-            .filter(|&c| coloring.count(Color::new(c)) > 0)
-            .count();
         for rule in counting_rules(k) {
             let mut planes = Simulator::new(&torus, &*rule, coloring.clone());
             let mut generic =
@@ -201,14 +191,10 @@ proptest! {
             let mut sweep = Simulator::new(&torus, &*rule, coloring.clone())
                 .with_generic_lane()
                 .with_full_sweep();
-            // A genuinely multi-coloured configuration must select the
-            // plane lane (a degenerate draw may stay packed or generic).
-            if distinct > 2 {
-                prop_assert!(
-                    planes.uses_plane_lane(),
-                    "{} did not select the plane lane", rule.name()
-                );
-            }
+            prop_assert!(
+                planes.uses_plane_lane(),
+                "{} did not select the plane lane", rule.name()
+            );
             for round in 0..m + n {
                 let a = planes.step();
                 let b = generic.step();
@@ -265,10 +251,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Band-parallel stepping is bit-identical to sequential stepping on
-    /// every lane: the fast lane (packed for k = 2, planes for k ≥ 3)
-    /// and the generic frontier agree with their single-threaded twins
-    /// round for round at every thread count, across a run that crosses
-    /// the dense→sparse hybrid handoff.
+    /// every lane: the plane lane and the generic frontier agree with
+    /// their single-threaded twins round for round at every thread count,
+    /// across a run that crosses the dense→sparse hybrid handoff.
     #[test]
     fn parallel_stepping_matches_sequential_on_every_lane(
         kind in torus_kind(),
