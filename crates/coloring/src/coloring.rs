@@ -139,6 +139,13 @@ impl Coloring {
         &mut self.cells
     }
 
+    /// Consumes the colouring and returns its flat row-major cell vector,
+    /// so a simulator can take over the cells without copying them.
+    #[inline]
+    pub fn into_cells(self) -> Vec<Color> {
+        self.cells
+    }
+
     /// Number of vertices with the given colour (the paper's `|V^k|`).
     pub fn count(&self, color: Color) -> usize {
         self.cells.iter().filter(|&&c| c == color).count()

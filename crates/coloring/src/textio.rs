@@ -54,7 +54,7 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn glyph_to_color(ch: char) -> Option<Color> {
+const fn glyph_to_color(ch: char) -> Option<Color> {
     match ch {
         '.' => Some(Color::UNSET),
         '0'..='9' => {
@@ -75,54 +75,221 @@ pub fn to_text(coloring: &Coloring) -> String {
     crate::render::render_coloring(coloring)
 }
 
+/// Byte classes of [`GLYPHS`] that are not colour indices.
+const SEPARATOR: u16 = u16::MAX;
+const NOT_A_GLYPH: u16 = u16::MAX - 1;
+
+/// What every ASCII byte means in a grid line: a colour index, a
+/// separator, or neither.  Separators are the ASCII characters
+/// `char::is_whitespace` accepts — `u8::is_ascii_whitespace` plus the
+/// vertical tab — so a line splits exactly as `split_whitespace` splits
+/// it.
+const GLYPHS: [u16; 128] = {
+    let mut table = [NOT_A_GLYPH; 128];
+    let mut b = 0;
+    while b < 128 {
+        let ch = b as u8 as char;
+        table[b] = if ch.is_ascii_whitespace() || b == 0x0B {
+            SEPARATOR
+        } else {
+            match glyph_to_color(ch) {
+                Some(c) => c.0,
+                None => NOT_A_GLYPH,
+            }
+        };
+        b += 1;
+    }
+    table
+};
+
 /// Parses a colouring from the glyph-grid text format.
 ///
-/// Whitespace between glyphs is ignored; blank lines are skipped.
+/// Whitespace between glyphs is ignored; blank lines are skipped.  Cells
+/// are decoded byte by byte straight into one row-major vector.  A bad
+/// glyph anywhere is reported before ragged rows.
 pub fn from_text(text: &str) -> Result<Coloring, ParseError> {
-    let mut rows: Vec<Vec<Color>> = Vec::new();
+    let mut cells = Vec::with_capacity(text.len() / 2);
+    let (mut rows, mut cols) = (0, 0);
+    let mut ragged = None;
     for (row_idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut row = Vec::new();
-        for (col_idx, ch) in line
-            .split_whitespace()
-            .flat_map(|tok| tok.chars())
-            .enumerate()
-        {
-            match glyph_to_color(ch) {
-                Some(c) => row.push(c),
-                None => {
-                    return Err(ParseError::BadGlyph {
-                        glyph: ch,
-                        row: row_idx,
-                        col: col_idx,
-                    })
+        let before = cells.len();
+        for (i, &b) in line.as_bytes().iter().enumerate() {
+            let glyph = match GLYPHS.get(usize::from(b)) {
+                Some(&SEPARATOR) => continue,
+                Some(&NOT_A_GLYPH) => char::from(b),
+                Some(&index) => {
+                    cells.push(Color(index));
+                    continue;
                 }
-            }
-        }
-        rows.push(row);
-    }
-    if rows.is_empty() {
-        return Err(ParseError::Empty);
-    }
-    let expected = rows[0].len();
-    for (i, row) in rows.iter().enumerate() {
-        if row.len() != expected {
-            return Err(ParseError::RaggedRows {
-                expected,
-                row: i,
-                got: row.len(),
+                // A non-ASCII character is never a glyph: Unicode
+                // whitespace separates, anything else is bad.  Only its
+                // first byte starts a `str` at `i`.
+                None => match line.get(i..).and_then(|rest| rest.chars().next()) {
+                    Some(ch) if !ch.is_whitespace() => ch,
+                    _ => continue,
+                },
+            };
+            return Err(ParseError::BadGlyph {
+                glyph,
+                row: row_idx,
+                col: cells.len() - before,
             });
         }
+        let width = cells.len() - before;
+        if width == 0 {
+            // Blank: nothing but whitespace.
+            continue;
+        }
+        if rows == 0 {
+            cols = width;
+        } else if width != cols && ragged.is_none() {
+            ragged = Some(ParseError::RaggedRows {
+                expected: cols,
+                row: rows,
+                got: width,
+            });
+        }
+        rows += 1;
     }
-    Ok(Coloring::from_rows(&rows))
+    if rows == 0 {
+        return Err(ParseError::Empty);
+    }
+    match ragged {
+        Some(e) => Err(e),
+        None => Ok(Coloring::from_cells(rows, cols, cells)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ctori_topology::toroidal_mesh;
+    use proptest::prelude::*;
+
+    /// The row-by-row `char` decoder [`from_text`] replaced: the
+    /// reference its results and errors must match exactly.
+    fn from_text_reference(text: &str) -> Result<Coloring, ParseError> {
+        let mut rows: Vec<Vec<Color>> = Vec::new();
+        for (row_idx, line) in text.lines().enumerate() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let mut row = Vec::new();
+            for (col_idx, ch) in line
+                .split_whitespace()
+                .flat_map(|tok| tok.chars())
+                .enumerate()
+            {
+                match glyph_to_color(ch) {
+                    Some(c) => row.push(c),
+                    None => {
+                        return Err(ParseError::BadGlyph {
+                            glyph: ch,
+                            row: row_idx,
+                            col: col_idx,
+                        })
+                    }
+                }
+            }
+            rows.push(row);
+        }
+        if rows.is_empty() {
+            return Err(ParseError::Empty);
+        }
+        let expected = rows[0].len();
+        for (i, row) in rows.iter().enumerate() {
+            if row.len() != expected {
+                return Err(ParseError::RaggedRows {
+                    expected,
+                    row: i,
+                    got: row.len(),
+                });
+            }
+        }
+        Ok(Coloring::from_rows(&rows))
+    }
+
+    /// Characters the decoders may disagree on: glyphs and non-glyphs,
+    /// ASCII whitespace with and without the vertical tab, the
+    /// information separators (not whitespace), CR, and non-ASCII
+    /// whitespace and letters.
+    const ALPHABET: [char; 30] = [
+        '1', '2', '3', '9', 'a', 'k', 'z', '.', ' ', ' ', ' ', '\n', '\n', '\t', '\r', '\x0B',
+        '\x0C', '\x1C', '\x1F', '0', 'A', '!', '\u{85}', '\u{A0}', '\u{2003}', '\u{2028}',
+        '\u{3000}', 'é', '字', '\0',
+    ];
+
+    fn text_from(picks: &[usize]) -> String {
+        picks
+            .iter()
+            .map(|&i| ALPHABET[i % ALPHABET.len()])
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Arbitrary strings over the tricky alphabet decode to the same
+        /// colouring or the same error, variant, row and column included.
+        #[test]
+        fn byte_decoder_matches_the_reference_on_arbitrary_text(
+            picks in prop::collection::vec(0usize..ALPHABET.len(), 0..60),
+        ) {
+            let text = text_from(&picks);
+            prop_assert_eq!(from_text(&text), from_text_reference(&text), "{:?}", text);
+        }
+
+        /// Near-valid grids: equal-width rows with mixed separators,
+        /// blank lines and CRLF endings, optionally one row cut short and
+        /// one cell replaced by an arbitrary character — so the success
+        /// path, ragged rows and bad glyphs after them are all compared.
+        #[test]
+        fn byte_decoder_matches_the_reference_on_grids(
+            rows in 1usize..6,
+            cols in 1usize..6,
+            cells in prop::collection::vec(0usize..8, 36),
+            seps in prop::collection::vec(0usize..ALPHABET.len(), 36),
+            cut in 0usize..12,
+            corrupt in 0usize..80,
+            junk in 0usize..ALPHABET.len(),
+        ) {
+            let mut text = String::new();
+            for r in 0..rows {
+                let width = if r == cut { cols - 1 } else { cols };
+                for c in 0..width {
+                    let i = r * cols + c;
+                    if i == corrupt {
+                        text.push(ALPHABET[junk]);
+                    } else {
+                        text.push(ALPHABET[cells[i]]);
+                    }
+                    let sep = ALPHABET[seps[i]];
+                    text.push(if sep.is_whitespace() && sep != '\n' { sep } else { ' ' });
+                }
+                text.push_str(if r % 2 == 0 { "\n" } else { "\r\n" });
+                if r == cut / 2 {
+                    text.push_str(" \t\n");
+                }
+            }
+            prop_assert_eq!(from_text(&text), from_text_reference(&text), "{:?}", text);
+        }
+    }
+
+    #[test]
+    fn bad_glyphs_win_over_earlier_ragged_rows() {
+        let text = "1 2\n1\n1 X\n";
+        assert_eq!(
+            from_text(text),
+            Err(ParseError::BadGlyph {
+                glyph: 'X',
+                row: 2,
+                col: 1
+            })
+        );
+        assert_eq!(from_text(text), from_text_reference(text));
+        // The vertical tab separates glyphs like any other whitespace.
+        assert_eq!(from_text("1\x0B2\n").unwrap().cols(), 2);
+    }
 
     #[test]
     fn roundtrip() {

@@ -60,6 +60,38 @@
 //! of thrashing between distant rows.  Evaluation is strictly
 //! read-old/write-new (patches are applied after the whole round is
 //! evaluated), so traversal order never affects results.
+//!
+//! # Building the lane
+//!
+//! Construction is word-granular too, so a job's set-up stays small next
+//! to its stepping:
+//!
+//! * the palette is read off a presence bitset over colour indices, one
+//!   bit test per cell, giving up at the 17th colour;
+//! * codes are packed eight cells per multiply: a table maps each colour
+//!   to its code byte, and one carry-free multiply gathers bit `p` of
+//!   eight code bytes into eight lanes of plane `p`; the census comes
+//!   from indicator popcounts over the packed words;
+//! * a fast or wrap word's dirty-mark list is derived from its gather
+//!   bases and lane masks — the words its kernel reads *are* the words
+//!   holding its neighbours — and only slow words walk the CSR.
+//!
+//! [`PlaneLane::snapshot`] decodes a word at a time the other way round,
+//! one table lookup spreading eight lanes of a plane into eight code
+//! bytes.
+//!
+//! # Cycle hash
+//!
+//! The lane keeps its own cycle-detection hash, a Zobrist hash over
+//! (word, plane, contents): the XOR over every plane word of one
+//! SplitMix64 mix of its contents, salted with its position.  The hash is
+//! off until the simulator's run loop switches it on with cycle detection,
+//! so a raw [`PlaneLane::step`] pays nothing.  Once on, a band worker
+//! swaps the old term of each plane word its patch changes for the new
+//! one (two mixes) and folds the difference into its band summary, so
+//! hashing runs in the parallel band workers, not in the sequential apply
+//! phase.  A hash match is only a candidate: the simulator confirms every
+//! repeat by replay before reporting a cycle.
 
 use crate::frontier::Worklist;
 use crate::parallel::{band_ranges, run_bands};
@@ -129,10 +161,13 @@ struct BandDelta {
     /// Signed per-code census movement (codes partition the changed
     /// bits, so indicator popcounts over old/new words are exact).
     census: [i64; MAX_PALETTE],
+    /// XOR of the band's cycle-hash term changes (0 while the hash is
+    /// off).
+    hash: u64,
 }
 
 impl BandDelta {
-    /// Folds one patch into the summary.
+    /// Folds one patch's flips and census movement into the summary.
     #[inline]
     fn account(&mut self, patch: &Patch, plane_count: usize, k: usize) {
         self.flips += patch.changed.count_ones() as usize;
@@ -142,6 +177,39 @@ impl BandDelta {
             *slot += i64::from(gained.count_ones()) - i64::from(lost.count_ones());
         }
     }
+
+    /// Folds the cycle-hash change of a band's patches into the summary:
+    /// each changed plane word swaps its old term for its new one.
+    fn rekey(&mut self, patches: &[Patch], plane_count: usize) {
+        for patch in patches {
+            let w = patch.word as usize;
+            for p in 0..plane_count {
+                let (old, new) = (patch.old[p], patch.new[p]);
+                if old != new {
+                    self.hash ^= zobrist_term(w, p, old) ^ zobrist_term(w, p, new);
+                }
+            }
+        }
+    }
+}
+
+/// SplitMix64's finaliser: the 64-bit mix behind both cycle hashes (the
+/// plane lane's per-plane-word terms and the generic lane's per-vertex
+/// keys).
+#[inline]
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The Zobrist term of "plane `p` of word `w` holds `bits`": the
+/// contents salted with an odd multiple of the (word, plane) position,
+/// then mixed once.
+#[inline]
+fn zobrist_term(w: usize, p: usize, bits: u64) -> u64 {
+    splitmix64(bits ^ ((w * MAX_PLANES + p) as u64).wrapping_mul(0xD1B5_4A32_D192_ED03))
 }
 
 /// Reads the 64 bits starting at bit `base` of a packed bit array.
@@ -159,6 +227,22 @@ fn gather(plane: &[u64], base: usize) -> u64 {
         (plane[q] >> r) | (plane[q + 1] << (64 - r))
     }
 }
+
+/// `SPREAD[x]` holds bit `i` of the byte `x` in bit 0 of its byte `i`:
+/// one lookup turns eight lanes of a plane word into eight code bits.
+const SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut x = 0;
+    while x < 256 {
+        let mut i = 0;
+        while i < 8 {
+            table[x] |= (((x >> i) & 1) as u64) << (8 * i);
+            i += 1;
+        }
+        x += 1;
+    }
+    table
+};
 
 /// The per-colour indicator of one gathered (or own) word set: lane `v` is
 /// set iff vertex `v`'s code equals `code`.
@@ -185,6 +269,199 @@ fn count4(a: u64, b: u64, c: u64, d: u64) -> (u64, u64, u64) {
     let mid = c0 ^ c1 ^ carry;
     let hi = (c0 & c1) | (carry & (c0 ^ c1));
     (hi, mid, low)
+}
+
+/// The distinct colours of a configuration in ascending order, read off
+/// a presence bitset over colour indices; `None` for an empty
+/// configuration or as soon as a 17th colour shows up.
+fn palette_of(colors: &[Color]) -> Option<Vec<Color>> {
+    let mut present = [0u64; (u16::MAX as usize + 1) / 64];
+    let mut distinct = 0;
+    for &c in colors {
+        let index = usize::from(c.index());
+        let (slot, bit) = (index >> 6, 1u64 << (index & 63));
+        if present[slot] & bit == 0 {
+            present[slot] |= bit;
+            distinct += 1;
+            if distinct > MAX_PALETTE {
+                return None;
+            }
+        }
+    }
+    let mut palette = Vec::with_capacity(distinct);
+    for (slot, &word) in present.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            // The raw constructor: an unset cell (index 0) is a palette
+            // entry like any other here.
+            palette.push(Color((slot * 64) as u16 + bits.trailing_zeros() as u16));
+            bits &= bits - 1;
+        }
+    }
+    (!palette.is_empty()).then_some(palette)
+}
+
+/// Packs every cell's palette code into the bit planes, 64 cells per
+/// word, and counts the cells holding each code off the packed words.
+fn pack_planes(
+    colors: &[Color],
+    palette: &[Color],
+    plane_count: usize,
+) -> (Vec<Vec<u64>>, Vec<usize>) {
+    // The palette position of every colour index up to the largest one.
+    let top = usize::from(palette.last().expect("non-empty palette").index());
+    let mut code_of = vec![0u8; top + 1];
+    for (code, c) in palette.iter().enumerate() {
+        code_of[usize::from(c.index())] = code as u8;
+    }
+    let words = colors.len().div_ceil(64);
+    let mut planes: Vec<Vec<u64>> = (0..plane_count)
+        .map(|_| Vec::with_capacity(words))
+        .collect();
+    let mut census = vec![0usize; palette.len()];
+    for chunk in colors.chunks(64) {
+        // Lanes past a partial tail word keep code 0, whose bits are all
+        // clear, so tail bits stay zero.
+        let mut codes = [0u8; 64];
+        for (code, &c) in codes.iter_mut().zip(chunk) {
+            *code = code_of[usize::from(c.index())];
+        }
+        let mut word = [0u64; MAX_PLANES];
+        for (p, (plane, bits)) in planes.iter_mut().zip(&mut word).enumerate() {
+            for (g, group) in codes.chunks_exact(8).enumerate() {
+                let bytes = u64::from_le_bytes(group.try_into().expect("eight codes"));
+                // Bit `p` of each of the eight codes, one per byte,
+                // gathered into the top byte by a carry-free multiply
+                // (byte `i` lands on bit `56 + i`).
+                let lanes = (bytes >> p) & 0x0101_0101_0101_0101;
+                *bits |= (lanes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g);
+            }
+            plane.push(*bits);
+        }
+        let valid = u64::MAX >> (64 - chunk.len());
+        for (code, n) in census.iter_mut().enumerate() {
+            *n += (indicator(&word, plane_count, code) & valid).count_ones() as usize;
+        }
+    }
+    (planes, census)
+}
+
+/// Classifies every word against the shared interior CSR pattern
+/// `[v-cols, v+cols, v-1, v+1]`.
+///
+/// Computed in i64 so grid-edge vertices (whose wrapped neighbours differ
+/// per torus kind) can never match accidentally.  A full word whose only
+/// deviations are toroidal-mesh row-wrap lanes still takes the vector
+/// kernel with those lanes blended in; the matching vertical pattern
+/// guarantees every gather it performs stays in bounds (base >= cols and
+/// base + 64 <= len - cols).
+fn classify_words(adjacency: &Adjacency, cols: usize) -> Vec<WordClass> {
+    let len = adjacency.node_count();
+    let mut class = vec![WordClass::Slow; len.div_ceil(64)];
+    if cols == 0 {
+        return class;
+    }
+    let stride = cols as i64;
+    'words: for (w, slot) in class.iter_mut().enumerate() {
+        let start = w * 64;
+        if start + 64 > len {
+            continue;
+        }
+        let (mut west, mut east) = (0u64, 0u64);
+        for v in start..start + 64 {
+            let nbrs = adjacency.neighbors_raw(v);
+            let vi = v as i64;
+            if nbrs.len() != 4
+                || i64::from(nbrs[0]) != vi - stride
+                || i64::from(nbrs[1]) != vi + stride
+            {
+                continue 'words;
+            }
+            let lane = 1u64 << (v - start);
+            match i64::from(nbrs[2]) - vi {
+                -1 => {}
+                d if d == stride - 1 => west |= lane,
+                _ => continue 'words,
+            }
+            match i64::from(nbrs[3]) - vi {
+                1 => {}
+                d if d == 1 - stride => east |= lane,
+                _ => continue 'words,
+            }
+        }
+        *slot = if west | east == 0 {
+            WordClass::Fast
+        } else {
+            WordClass::Wrap { west, east }
+        };
+    }
+    class
+}
+
+/// The words a funnel [`gather`] at bit `base` reads on the lanes in
+/// `lanes`: lanes below `64 - base % 64` come from word `base / 64`, the
+/// rest from the word after it.
+fn gathered_words(base: usize, lanes: u64) -> impl Iterator<Item = u32> {
+    let word = (base >> 6) as u32;
+    let from_first = u64::MAX >> (base & 63);
+    [
+        (lanes & from_first != 0).then_some(word),
+        (lanes & !from_first != 0).then_some(word + 1),
+    ]
+    .into_iter()
+    .flatten()
+}
+
+/// The word-granular dirty table `(offsets, words)`: `words[offsets[w]..
+/// offsets[w + 1]]` are the *other* words holding a neighbour of some
+/// vertex of word `w`.
+///
+/// A fast or wrap word's neighbours are exactly the bits its vector
+/// kernel gathers, so its list comes from the gather bases and lane
+/// masks alone; only slow words walk the CSR.
+fn dirty_table(adjacency: &Adjacency, cols: usize, class: &[WordClass]) -> (Vec<u32>, Vec<u32>) {
+    let len = adjacency.node_count();
+    let mut offsets = Vec::with_capacity(class.len() + 1);
+    offsets.push(0u32);
+    let mut words: Vec<u32> = Vec::with_capacity(class.len() * 4);
+    for (w, &kind) in class.iter().enumerate() {
+        let first = words.len();
+        let mut add = |u: u32| {
+            if u as usize != w && !words[first..].contains(&u) {
+                words.push(u);
+            }
+        };
+        let base = w * 64;
+        match kind {
+            WordClass::Slow => {
+                for v in base..(base + 64).min(len) {
+                    for &u in adjacency.neighbors_raw(v) {
+                        add(u >> 6);
+                    }
+                }
+            }
+            WordClass::Fast | WordClass::Wrap { .. } => {
+                let (west, east) = match kind {
+                    WordClass::Wrap { west, east } => (west, east),
+                    _ => (0, 0),
+                };
+                // The bases `eval_vector` gathers from, each with the
+                // lanes it keeps (classification puts base >= cols).
+                for (start, lanes) in [
+                    (base - cols, u64::MAX),
+                    (base + cols, u64::MAX),
+                    (base - 1, !west),
+                    (base + 1, !east),
+                    (base + cols - 1, west),
+                    (base + 1 - cols, east),
+                ] {
+                    gathered_words(start, lanes).for_each(&mut add);
+                }
+            }
+        }
+        offsets.push(words.len() as u32);
+    }
+    (offsets, words)
 }
 
 /// The multi-colour bit-plane frontier stepper.
@@ -245,6 +522,10 @@ pub struct PlaneLane {
     last_cells_evaluated: u64,
     /// Number of vertices changed by the last step.
     flipped: usize,
+    /// The cycle hash, a Zobrist hash over (word, plane, contents);
+    /// `None` until [`PlaneLane::enable_hash`], so raw stepping pays
+    /// nothing for it.
+    hash: Option<u64>,
 }
 
 impl PlaneLane {
@@ -276,12 +557,7 @@ impl PlaneLane {
             len,
             "adjacency does not match the configuration"
         );
-        let mut palette: Vec<Color> = colors.to_vec();
-        palette.sort_unstable();
-        palette.dedup();
-        if palette.is_empty() || palette.len() > MAX_PALETTE {
-            return None;
-        }
+        let palette = palette_of(colors)?;
         let code_of_color = |c: Color| palette.binary_search(&c).ok().map(|i| i as u8);
         let decision = match rule.form() {
             ColorCountForm::Plurality { min_pair } => {
@@ -315,83 +591,9 @@ impl PlaneLane {
             (usize::BITS - (k - 1).leading_zeros()) as usize
         };
         let words = len.div_ceil(64);
-        let mut planes = vec![vec![0u64; words]; plane_count];
-        let mut census = vec![0usize; k];
-        for (v, &c) in colors.iter().enumerate() {
-            let code = code_of_color(c).expect("every colour is in the palette");
-            census[code as usize] += 1;
-            for (p, plane) in planes.iter_mut().enumerate() {
-                if (code >> p) & 1 == 1 {
-                    plane[v >> 6] |= 1u64 << (v & 63);
-                }
-            }
-        }
-
-        // Classify words against the shared interior CSR pattern
-        // [v-cols, v+cols, v-1, v+1].  Computed in i64 so grid-edge
-        // vertices (whose wrapped neighbours differ per torus kind) can
-        // never match accidentally.  A full word whose only deviations are
-        // toroidal-mesh row-wrap lanes still takes the vector kernel with
-        // those lanes blended in; the matching vertical pattern guarantees
-        // every gather it performs stays in bounds (base >= cols and
-        // base + 64 <= len - cols).
-        let mut class = vec![WordClass::Slow; words];
-        if cols > 0 {
-            let stride = cols as i64;
-            'words: for (w, slot) in class.iter_mut().enumerate() {
-                let start = w * 64;
-                if start + 64 > len {
-                    continue;
-                }
-                let (mut west, mut east) = (0u64, 0u64);
-                for v in start..start + 64 {
-                    let nbrs = adjacency.neighbors_raw(v);
-                    let vi = v as i64;
-                    if nbrs.len() != 4
-                        || i64::from(nbrs[0]) != vi - stride
-                        || i64::from(nbrs[1]) != vi + stride
-                    {
-                        continue 'words;
-                    }
-                    let lane = 1u64 << (v - start);
-                    match i64::from(nbrs[2]) - vi {
-                        -1 => {}
-                        d if d == stride - 1 => west |= lane,
-                        _ => continue 'words,
-                    }
-                    match i64::from(nbrs[3]) - vi {
-                        1 => {}
-                        d if d == 1 - stride => east |= lane,
-                        _ => continue 'words,
-                    }
-                }
-                *slot = if west | east == 0 {
-                    WordClass::Fast
-                } else {
-                    WordClass::Wrap { west, east }
-                };
-            }
-        }
-
-        // The word-granular dirty table: which other words hold a
-        // neighbour of some vertex of each word.
-        let mut mark_offsets = vec![0u32; words + 1];
-        let mut mark_words: Vec<u32> = Vec::new();
-        let mut scratch: Vec<u32> = Vec::new();
-        for w in 0..words {
-            scratch.clear();
-            let start = w * 64;
-            for v in start..(start + 64).min(len) {
-                for &u in adjacency.neighbors_raw(v) {
-                    let uw = u >> 6;
-                    if uw as usize != w && !scratch.contains(&uw) {
-                        scratch.push(uw);
-                    }
-                }
-            }
-            mark_words.extend_from_slice(&scratch);
-            mark_offsets[w + 1] = mark_words.len() as u32;
-        }
+        let (planes, census) = pack_planes(colors, &palette, plane_count);
+        let class = classify_words(adjacency, cols);
+        let (mark_offsets, mark_words) = dirty_table(adjacency, cols, &class);
         let tile_geometry = if cols >= 64 && cols.is_multiple_of(64) && len.is_multiple_of(cols) {
             Some((len / cols, cols / 64))
         } else {
@@ -422,6 +624,7 @@ impl PlaneLane {
             last_sparse_bands: 0,
             last_cells_evaluated: 0,
             flipped: 0,
+            hash: None,
         })
     }
 
@@ -483,9 +686,53 @@ impl PlaneLane {
             .map(|code| self.palette[code])
     }
 
-    /// Materialises the configuration as one colour per vertex.
+    /// Materialises the configuration as one colour per vertex, decoding
+    /// a word of 64 vertices at a time.
     pub fn snapshot(&self) -> Vec<Color> {
-        (0..self.len).map(|v| self.color_at(v)).collect()
+        // Codes index a full-size table, so the lookup needs no bound.
+        let mut colors = [self.palette[0]; MAX_PALETTE];
+        colors[..self.palette.len()].copy_from_slice(&self.palette);
+        let mut out = Vec::with_capacity(self.len);
+        for w in 0..self.words {
+            // Byte `b` of `codes[g]` is the code of lane `8g + b`.
+            let mut codes = [0u64; 8];
+            for (p, plane) in self.planes.iter().enumerate() {
+                for (g, slot) in codes.iter_mut().enumerate() {
+                    *slot |= SPREAD[((plane[w] >> (8 * g)) & 0xFF) as usize] << p;
+                }
+            }
+            let lanes = (self.len - w * 64).min(64);
+            let codes = codes.map(u64::to_le_bytes);
+            out.extend(
+                codes
+                    .as_flattened()
+                    .iter()
+                    .take(lanes)
+                    .map(|&code| colors[usize::from(code) & (MAX_PALETTE - 1)]),
+            );
+        }
+        out
+    }
+
+    /// Switches the cycle hash on (a no-op when it already is): one
+    /// [`zobrist_term`] per plane word now, then two per changed plane
+    /// word in every later [`PlaneLane::step`].
+    pub(crate) fn enable_hash(&mut self) {
+        if self.hash.is_none() {
+            let mut value = 0;
+            for (p, plane) in self.planes.iter().enumerate() {
+                for (w, &bits) in plane.iter().enumerate() {
+                    value ^= zobrist_term(w, p, bits);
+                }
+            }
+            self.hash = Some(value);
+        }
+    }
+
+    /// The cycle hash of the current configuration, once
+    /// [`PlaneLane::enable_hash`] switched it on.
+    pub(crate) fn state_hash(&self) -> Option<u64> {
+        self.hash
     }
 
     /// The `(vertex, old colour, new colour)` changes of the last
@@ -946,7 +1193,7 @@ impl PlaneLane {
             .collect();
 
         // Evaluate all bands against the frozen pre-round planes; each
-        // worker owns one patch buffer and returns its census/flip
+        // worker owns one patch buffer and returns its census/flip/hash
         // summary.  `run_bands` is the barrier that publishes the round.
         let mut band_patches = std::mem::take(&mut self.band_patches);
         for buffer in &mut band_patches {
@@ -963,18 +1210,24 @@ impl PlaneLane {
                 } else {
                     lane.eval_candidates(adjacency, &band_cands[band], out, &mut delta);
                 }
+                if lane.hash.is_some() {
+                    delta.rekey(out, lane.plane_count);
+                }
                 delta
             },
         );
 
-        // Merge phase: the workers already counted flips and census
-        // movement, so the sequential section only writes the new plane
-        // words and marks the worklist — order across bands is
+        // Merge phase: the workers already counted flips, census movement
+        // and hash changes, so the sequential section only writes the new
+        // plane words and marks the worklist — order across bands is
         // irrelevant (each word has at most one patch).
         for delta in &deltas {
             self.flipped += delta.flips;
             for (slot, &moved) in self.census.iter_mut().zip(&delta.census) {
                 *slot = (*slot as i64 + moved) as usize;
+            }
+            if let Some(hash) = &mut self.hash {
+                *hash ^= delta.hash;
             }
         }
         for patch in band_patches.iter().flatten() {
@@ -1369,5 +1622,132 @@ mod tests {
             east: 0x8000_8000_8000_8000,
         };
         assert_eq!(lane.class, [WordClass::Slow, rows, rows, WordClass::Slow]);
+    }
+
+    /// Asserts that every word's dirty-mark list holds exactly the other
+    /// words a CSR walk over its vertices' neighbours finds, and returns
+    /// the `(fast, wrap, slow)` word census.
+    fn check_dirty_lists(adjacency: &Adjacency, lane: &PlaneLane) -> (usize, usize, usize) {
+        let len = adjacency.node_count();
+        let mut census = (0, 0, 0);
+        for w in 0..lane.words {
+            let mut walked: Vec<u32> = (w * 64..(w * 64 + 64).min(len))
+                .flat_map(|v| adjacency.neighbors_raw(v).iter().map(|&u| u >> 6))
+                .filter(|&u| u as usize != w)
+                .collect();
+            walked.sort_unstable();
+            walked.dedup();
+            let from = lane.mark_offsets[w] as usize;
+            let to = lane.mark_offsets[w + 1] as usize;
+            let mut listed = lane.mark_words[from..to].to_vec();
+            listed.sort_unstable();
+            assert!(
+                listed.windows(2).all(|p| p[0] != p[1]),
+                "word {w} lists a word twice"
+            );
+            assert_eq!(listed, walked, "word {w} ({:?})", lane.class[w]);
+            match lane.class[w] {
+                WordClass::Fast => census.0 += 1,
+                WordClass::Wrap { .. } => census.1 += 1,
+                WordClass::Slow => census.2 += 1,
+            }
+        }
+        census
+    }
+
+    #[test]
+    fn word_derived_dirty_lists_match_the_csr_walk() {
+        let rule = ColorCountRule::plurality(2);
+        let mut totals = (0, 0, 0);
+        let mut check = |kind: TorusKind, m: usize, n: usize| {
+            let torus = Torus::new(kind, m, n);
+            let adjacency = Adjacency::from_torus(&torus);
+            let colors = scatter_colors(m * n, 3, (m * 131 + n) as u64);
+            let lane = PlaneLane::from_colors(&adjacency, n, &colors, &rule).unwrap();
+            let (fast, wrap, slow) = check_dirty_lists(&adjacency, &lane);
+            totals = (totals.0 + fast, totals.1 + wrap, totals.2 + slow);
+        };
+        for kind in TorusKind::ALL {
+            for n in 60..=70 {
+                check(kind, 9, n);
+            }
+            check(kind, 6, 256);
+        }
+        check(TorusKind::ToroidalMesh, 16, 16);
+        check(TorusKind::ToroidalMesh, 32, 32);
+        assert!(
+            totals.0 > 0 && totals.1 > 0 && totals.2 > 0,
+            "every word class is covered: {totals:?}"
+        );
+
+        // A 1 × n lane, as `Simulator::with_plane_lane` builds it over a
+        // flat state: the row stride is the whole grid, so every word is
+        // slow and walks the CSR.
+        let torus = Torus::new(TorusKind::TorusCordalis, 5, 67);
+        let adjacency = Adjacency::from_torus(&torus);
+        let colors = scatter_colors(5 * 67, 4, 21);
+        let lane = PlaneLane::from_colors(&adjacency, 5 * 67, &colors, &rule).unwrap();
+        let (fast, wrap, slow) = check_dirty_lists(&adjacency, &lane);
+        assert_eq!((fast, wrap, slow), (0, 0, lane.words));
+    }
+
+    #[test]
+    fn plane_hash_tracks_the_configuration() {
+        // The incremental hash equals a hash rebuilt afresh after
+        // every round, at one and three band workers, and it is a
+        // function of the configuration: a period-2 blinker returns to
+        // its first value.
+        let torus = Torus::new(TorusKind::ToroidalMesh, 12, 128);
+        let adjacency = Adjacency::from_torus(&torus);
+        let colors = scatter_colors(12 * 128, 5, 77);
+        let rule = ColorCountRule::plurality(2);
+        for threads in [1, 3] {
+            let mut lane = PlaneLane::from_colors(&adjacency, 128, &colors, &rule).unwrap();
+            lane.set_threads(threads);
+            assert_eq!(lane.state_hash(), None, "off until switched on");
+            lane.step(&adjacency);
+            lane.enable_hash();
+            for round in 0..10 {
+                lane.step(&adjacency);
+                let mut fresh = lane.clone();
+                fresh.hash = None;
+                fresh.enable_hash();
+                assert_eq!(lane.state_hash(), fresh.state_hash(), "round {round}");
+            }
+        }
+        let checkerboard: Vec<Color> = (0..12 * 128)
+            .map(|v| c(1 + ((v / 128 + v % 128) % 2) as u16))
+            .collect();
+        let mut lane = PlaneLane::from_colors(&adjacency, 128, &checkerboard, &rule).unwrap();
+        lane.enable_hash();
+        let start = lane.state_hash();
+        assert_eq!(lane.step(&adjacency), 12 * 128);
+        assert_ne!(lane.state_hash(), start);
+        lane.step(&adjacency);
+        assert_eq!(lane.state_hash(), start);
+    }
+
+    #[test]
+    fn snapshot_decodes_every_palette_size() {
+        for palette in [1, 2, 3, 5, 16] {
+            let torus = Torus::new(TorusKind::TorusSerpentinus, 7, 61);
+            let adjacency = Adjacency::from_torus(&torus);
+            let colors = scatter_colors(7 * 61, palette, u64::from(palette));
+            let lane =
+                PlaneLane::from_colors(&adjacency, 61, &colors, &ColorCountRule::plurality(2))
+                    .unwrap();
+            assert_eq!(lane.snapshot(), colors, "palette {palette}");
+            let expected: Vec<Color> = (0..colors.len()).map(|v| lane.color_at(v)).collect();
+            assert_eq!(lane.snapshot(), expected);
+        }
+        // The unset sentinel is a colour index like any other to the lane.
+        let torus = Torus::new(TorusKind::ToroidalMesh, 4, 4);
+        let adjacency = Adjacency::from_torus(&torus);
+        let mut colors = scatter_colors(16, 2, 9);
+        colors[5] = Color::UNSET;
+        let lane =
+            PlaneLane::from_colors(&adjacency, 4, &colors, &ColorCountRule::plurality(2)).unwrap();
+        assert_eq!(lane.palette()[0], Color::UNSET);
+        assert_eq!(lane.snapshot(), colors);
     }
 }

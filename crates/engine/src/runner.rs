@@ -29,7 +29,7 @@
 use crate::metrics::RoundStats;
 use crate::observe::{NullObserver, Observer};
 use crate::simulator::{RunReport, Simulator, Termination};
-use crate::spec::{BuiltTopology, EngineOptions, LaneSpec, RunSpec};
+use crate::spec::{lines_with_rest, BuiltTopology, EngineOptions, LaneSpec, RunSpec};
 use crate::sweep::parallel_map;
 use ctori_coloring::{textio, Color, Coloring};
 use ctori_protocols::AnyRule;
@@ -251,8 +251,7 @@ impl RunOutcome {
             other => Err(bad_value(field, format!("expected yes/no, got {other:?}"))),
         };
 
-        let mut lines = text.lines().enumerate();
-        while let Some((idx, line)) = lines.next() {
+        for (idx, line, rest) in lines_with_rest(text) {
             if line.trim().is_empty() {
                 continue;
             }
@@ -313,12 +312,8 @@ impl RunOutcome {
                 }
                 "final" => {
                     // The glyph grid owns every remaining line.
-                    let grid: String = lines
-                        .by_ref()
-                        .map(|(_, l)| l)
-                        .collect::<Vec<_>>()
-                        .join("\n");
-                    final_coloring = Some(textio::from_text(&grid)?);
+                    final_coloring = Some(textio::from_text(rest)?);
+                    break;
                 }
                 _ => {
                     return Err(OutcomeParseError::UnexpectedLine {
@@ -556,9 +551,7 @@ fn build_simulator(spec: &RunSpec, rule: AnyRule) -> Simulator<AnyRule> {
     let initial = spec.initial_coloring();
     let sim = match spec.topology.build() {
         BuiltTopology::Torus(torus) => Simulator::new(&torus, rule, initial),
-        BuiltTopology::Graph(graph) => {
-            Simulator::from_topology(&graph, rule, initial.cells().to_vec())
-        }
+        BuiltTopology::Graph(graph) => Simulator::from_topology(&graph, rule, initial.into_cells()),
     };
     match spec.options.lane {
         LaneSpec::Auto => sim,

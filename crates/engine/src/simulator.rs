@@ -13,7 +13,7 @@ use crate::frontier::Worklist;
 use crate::metrics::StepStats;
 use crate::observe::StepView;
 use crate::parallel::{band_ranges, run_bands};
-use crate::planes::PlaneLane;
+use crate::planes::{splitmix64, PlaneLane};
 use crate::state::{ColorCensus, StateVec};
 use ctori_coloring::{Color, Coloring};
 use ctori_protocols::LocalRule;
@@ -145,15 +145,6 @@ impl RunReport {
     }
 }
 
-/// SplitMix64 — the per-(vertex, colour) key of the incremental Zobrist
-/// state hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Zobrist key of "vertex `v` holds colour `c`".  The state hash is the
 /// XOR of the keys of all vertices, so a colour change updates it in O(1).
 #[inline]
@@ -211,6 +202,14 @@ fn eval_one<R: LocalRule>(
 /// against.  The hot loops are pure slice and bit indexing; the only
 /// per-round allocations are the small per-band bookkeeping vectors of the
 /// band scheduler ([`crate::parallel::run_bands`]).
+///
+/// Cycle detection in [`Simulator::run`] rests on an incremental state
+/// hash that each lane owns: the generic lane XORs a per-vertex key per
+/// change, the plane lane re-keys each changed plane word (see
+/// [`crate::planes`]).  The run loop switches the active lane's hash on
+/// only when [`RunConfig::detect_cycles`] is set, so a raw
+/// [`Simulator::step`] loop pays nothing for it.  [`Simulator::new`]
+/// takes over the initial colouring's cells without copying them.
 pub struct Simulator<R> {
     adjacency: Adjacency,
     rule: R,
@@ -221,11 +220,11 @@ pub struct Simulator<R> {
     round: usize,
     regular4: bool,
     full_sweep: bool,
-    /// Incremental Zobrist hash of the configuration; maintained only once
-    /// `hash_live` is set (the first `run` with cycle detection), so raw
-    /// stepping pays nothing for it.
-    hash: u64,
-    hash_live: bool,
+    /// The generic lane's incremental Zobrist hash (per-vertex
+    /// [`zkey`]s); `None` until a `run` with cycle detection switches it
+    /// on, so raw stepping pays nothing for it.  The plane lane keeps its
+    /// own hash.
+    generic_hash: Option<u64>,
     degenerate_hash: bool,
     /// Intra-round band parallelism (see [`crate::parallel`]); forwarded
     /// to whichever lane is active.
@@ -239,7 +238,8 @@ pub struct Simulator<R> {
 }
 
 impl<R: LocalRule> Simulator<R> {
-    /// Creates a simulator for a torus and an initial colouring.
+    /// Creates a simulator for a torus and an initial colouring, moving
+    /// the colouring's cells into the state instead of copying them.
     ///
     /// # Panics
     ///
@@ -255,7 +255,7 @@ impl<R: LocalRule> Simulator<R> {
             "initial colouring contains unset cells"
         );
         let adjacency = Adjacency::from_torus(torus);
-        let cells = initial.cells().to_vec();
+        let cells = initial.into_cells();
         Simulator::assemble(adjacency, rule, torus.rows(), torus.cols(), cells)
     }
 
@@ -297,7 +297,7 @@ impl<R: LocalRule> Simulator<R> {
     ) -> Self {
         let regular4 = adjacency.uniform_degree() == Some(4);
         let n = cells.len();
-        let state = Self::choose_backend(&adjacency, &rule, rows, cols, cells);
+        let state = Self::choose_backend(&adjacency, regular4, &rule, rows, cols, cells);
         let worklist = if state.is_planes() {
             // The plane lane schedules its own (word-granular) frontier.
             Worklist::new(0)
@@ -314,8 +314,7 @@ impl<R: LocalRule> Simulator<R> {
             round: 0,
             regular4,
             full_sweep: false,
-            hash: 0,
-            hash_live: false,
+            generic_hash: None,
             degenerate_hash: false,
             step_threads: 1,
             band_changes: Vec::new(),
@@ -328,12 +327,13 @@ impl<R: LocalRule> Simulator<R> {
     /// with at most 16 colours, and the generic colour vector otherwise.
     fn choose_backend(
         adjacency: &Adjacency,
+        regular4: bool,
         rule: &R,
         rows: usize,
         cols: usize,
         cells: Vec<Color>,
     ) -> StateVec {
-        if rows >= 2 && adjacency.uniform_degree() == Some(4) && rows * cols == cells.len() {
+        if rows >= 2 && regular4 && rows * cols == cells.len() {
             if let Some(counting) = rule.as_color_count_rule() {
                 // `from_colors` checks the palette bound (≤ 16) and the
                 // counting forms its kernel covers, and bails to the
@@ -375,6 +375,7 @@ impl<R: LocalRule> Simulator<R> {
         if self.state.is_planes() {
             let colors = self.state.snapshot();
             self.worklist = Worklist::new(colors.len());
+            self.generic_hash = None;
             self.state = StateVec::Generic {
                 census: ColorCensus::of(&colors),
                 colors,
@@ -539,13 +540,6 @@ impl<R: LocalRule> Simulator<R> {
         let (changed, (dense_bands, sparse_bands, cells)) = match &mut self.state {
             StateVec::Planes { lane } => {
                 let flips = lane.step(&self.adjacency);
-                if self.hash_live {
-                    let mut delta = 0u64;
-                    for (v, old, new) in lane.flips() {
-                        delta ^= zkey(v as usize, old) ^ zkey(v as usize, new);
-                    }
-                    self.hash ^= delta;
-                }
                 (flips, lane.last_step_profile())
             }
             StateVec::Generic { colors, census } => {
@@ -601,9 +595,9 @@ impl<R: LocalRule> Simulator<R> {
                 // The band-order concatenation of the buffers is the
                 // sequential change order.
                 let changes = self.band_changes.iter().flatten();
-                if self.hash_live {
+                if let Some(hash) = &mut self.generic_hash {
                     for &(v, old, new) in changes.clone() {
-                        self.hash ^= zkey(v as usize, old) ^ zkey(v as usize, new);
+                        *hash ^= zkey(v as usize, old) ^ zkey(v as usize, new);
                     }
                 }
                 // Apply after evaluating everything: synchronous semantics.
@@ -633,12 +627,32 @@ impl<R: LocalRule> Simulator<R> {
         }
     }
 
+    /// Switches the active lane's cycle hash on (a no-op when it already
+    /// is); `snapshot` is the current configuration.
+    fn enable_hash(&mut self, snapshot: &[Color]) {
+        match &mut self.state {
+            StateVec::Planes { lane } => lane.enable_hash(),
+            StateVec::Generic { .. } => {
+                if self.generic_hash.is_none() {
+                    let seeded = snapshot
+                        .iter()
+                        .enumerate()
+                        .fold(0u64, |h, (v, &c)| h ^ zkey(v, c));
+                    self.generic_hash = Some(seeded);
+                }
+            }
+        }
+    }
+
     fn state_hash(&self) -> u64 {
         if self.degenerate_hash {
-            0
-        } else {
-            self.hash
+            return 0;
         }
+        let hash = match &self.state {
+            StateVec::Planes { lane } => lane.state_hash(),
+            StateVec::Generic { .. } => self.generic_hash,
+        };
+        hash.expect("run_with switched the hash on")
     }
 
     /// Test hook: makes every configuration hash to the same value, so the
@@ -717,17 +731,10 @@ impl<R: LocalRule> Simulator<R> {
         // so a hash collision can never be misreported as a cycle.
         let run_start_state: Option<Vec<Color>> = config.detect_cycles.then(|| self.snapshot());
         let mut seen: HashMap<u64, Vec<usize>> = HashMap::new();
-        if config.detect_cycles {
-            if !self.hash_live {
-                // Switch the incremental Zobrist hash on: seed it from the
-                // current configuration; step() keeps it fresh from here.
-                let snapshot = run_start_state.as_ref().expect("snapshot was taken");
-                self.hash = snapshot
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |h, (v, &c)| h ^ zkey(v, c));
-                self.hash_live = true;
-            }
+        if let Some(snapshot) = &run_start_state {
+            // Switch the lane's incremental hash on; step() keeps it
+            // fresh from here.
+            self.enable_hash(snapshot);
             seen.entry(self.state_hash()).or_default().push(self.round);
         }
 

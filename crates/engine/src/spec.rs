@@ -523,6 +523,23 @@ impl From<AnyRule> for RuleSpec {
     }
 }
 
+/// `text.lines()` with each line's index and the text after its line
+/// ending, so a parser can hand everything below a header line (a glyph
+/// grid) to its decoder as one slice.
+pub(crate) fn lines_with_rest(text: &str) -> impl Iterator<Item = (usize, &str, &str)> {
+    let mut end = 0;
+    text.split_inclusive('\n')
+        .enumerate()
+        .map(move |(idx, raw)| {
+            end += raw.len();
+            // The line endings `str::lines` strips: `\n`, or `\r\n`.
+            let line = raw
+                .strip_suffix('\n')
+                .map_or(raw, |l| l.strip_suffix('\r').unwrap_or(l));
+            (idx, line, &text[end..])
+        })
+}
+
 // ---------------------------------------------------------------------------
 // SeedSpec
 // ---------------------------------------------------------------------------
@@ -602,8 +619,9 @@ impl SeedSpec {
     ///
     /// Panics when the spec cannot colour that grid: explicit dimensions
     /// that do not match, a seed-vertex index out of range, a fraction
-    /// outside `[0, 1]`, or a density palette too small to colour the
-    /// non-seed remainder.
+    /// outside `[0, 1]`, a density palette too small to colour the
+    /// non-seed remainder, or a density seed on more than `u32::MAX`
+    /// vertices.
     pub fn materialize(&self, rows: usize, cols: usize) -> Coloring {
         let total = rows * cols;
         match self {
@@ -648,11 +666,15 @@ impl SeedSpec {
                     "density seeds need a palette with at least one non-seed colour"
                 );
                 let mut rng = StdRng::seed_from_u64(*rng_seed);
-                let mut positions: Vec<usize> = (0..total).collect();
+                // `u32` positions halve the shuffled array; the shuffle's
+                // draws depend only on the slice length, so the result is
+                // the one a `usize` array would give.
+                let vertices = u32::try_from(total).expect("grids index vertices with u32");
+                let mut positions: Vec<u32> = (0..vertices).collect();
                 positions.shuffle(&mut rng);
                 let mut cells = vec![Color::UNSET; total];
                 for (idx, pos) in positions.into_iter().enumerate() {
-                    cells[pos] = if idx < seed_count {
+                    cells[pos as usize] = if idx < seed_count {
                         *color
                     } else {
                         *others.choose(&mut rng).expect("non-empty")
@@ -1301,8 +1323,7 @@ impl RunSpec {
         let mut seed = None;
         let mut options = None;
 
-        let mut lines = text.lines().enumerate();
-        while let Some((idx, line)) = lines.next() {
+        for (idx, line, rest) in lines_with_rest(text) {
             if line.trim().is_empty() {
                 continue;
             }
@@ -1322,12 +1343,8 @@ impl RunSpec {
                     // glyph grid); for every other form keep parsing
                     // `key: value` lines normally.
                     if value.split_whitespace().next() == Some("explicit") {
-                        let grid: String = lines
-                            .by_ref()
-                            .map(|(_, l)| l)
-                            .collect::<Vec<_>>()
-                            .join("\n");
-                        seed = Some(SeedSpec::parse(value, &grid)?);
+                        seed = Some(SeedSpec::parse(value, rest)?);
+                        break;
                     } else {
                         seed = Some(SeedSpec::parse(value, "")?);
                     }
@@ -1574,6 +1591,77 @@ mod tests {
         assert_eq!(a, b, "same rng seed, same configuration");
         assert_eq!(a.count(c(1)), 18);
         assert!(!a.has_unset_cells());
+    }
+
+    #[test]
+    fn lines_with_rest_splits_like_str_lines() {
+        for text in [
+            "",
+            "\n",
+            "a",
+            "a\nb\n",
+            "a\r\nb\r\n\r\n",
+            "a\rb\r",
+            "a\n\n\rc",
+            "x\r\r\ny",
+        ] {
+            let lines: Vec<&str> = lines_with_rest(text).map(|(_, line, _)| line).collect();
+            assert_eq!(lines, text.lines().collect::<Vec<_>>(), "{text:?}");
+            for (idx, line, rest) in lines_with_rest(text) {
+                let below: Vec<&str> = text.lines().skip(idx + 1).collect();
+                assert_eq!(
+                    rest.lines().collect::<Vec<_>>(),
+                    below,
+                    "{text:?} after {line:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn density_seeds_match_the_usize_shuffle() {
+        // The `usize` formulation `materialize` used before shuffling
+        // `u32` positions.
+        fn usize_reference(
+            total: usize,
+            color: Color,
+            palette: u16,
+            fraction: f64,
+            rng_seed: u64,
+        ) -> Vec<Color> {
+            let seed_count = (total as f64 * fraction).round() as usize;
+            let others: Vec<Color> = Palette::new(palette).colors_except(color).collect();
+            let mut rng = StdRng::seed_from_u64(rng_seed);
+            let mut positions: Vec<usize> = (0..total).collect();
+            positions.shuffle(&mut rng);
+            let mut cells = vec![Color::UNSET; total];
+            for (idx, pos) in positions.into_iter().enumerate() {
+                cells[pos] = if idx < seed_count {
+                    color
+                } else {
+                    *others.choose(&mut rng).expect("non-empty")
+                };
+            }
+            cells
+        }
+        for (rows, cols) in [(2, 2), (5, 7), (16, 16), (64, 65), (128, 128)] {
+            for rng_seed in [0, 1, 7, 0xDEAD_BEEF, u64::MAX] {
+                for (palette, fraction) in [(2, 0.3), (3, 0.0), (8, 0.5), (16, 1.0)] {
+                    let color = c(palette);
+                    let seed = SeedSpec::Density {
+                        color,
+                        palette,
+                        fraction,
+                        rng_seed,
+                    };
+                    assert_eq!(
+                        seed.materialize(rows, cols).cells(),
+                        usize_reference(rows * cols, color, palette, fraction, rng_seed),
+                        "{rows}x{cols} palette {palette} fraction {fraction} rng {rng_seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -48,65 +48,36 @@ impl Adjacency {
 
     /// Builds the CSR adjacency of a torus arithmetically.
     ///
-    /// The wrap rule is specialised per [`TorusKind`]: the kind dispatch is
-    /// hoisted out of the per-vertex loop and each kind's O(1) neighbour
-    /// arithmetic is monomorphised into its own fill loop.  Every vertex
-    /// has exactly four neighbours, so both arrays are sized exactly up
-    /// front.
+    /// Every vertex has exactly four neighbours, so the offsets are always
+    /// `4v` and the targets are filled row by row: the wrapped rows above
+    /// and below are resolved once per row and the wrapped columns by a
+    /// compare per vertex, with no `%` per neighbour.  The wrap rule is
+    /// specialised per [`TorusKind`] and the kind dispatch hoisted out of
+    /// the per-vertex loop, each kind's fill loop monomorphised on its own.
     pub fn from_torus(torus: &Torus) -> Self {
         let (m, n) = (torus.rows(), torus.cols());
         let count = m * n;
-        let mut offsets = Vec::with_capacity(count + 1);
+        let offsets = (0..=count).map(|v| (4 * v) as u32).collect();
         let mut targets = Vec::with_capacity(4 * count);
-        offsets.push(0u32);
         // [north, south, west, east] per vertex, matching Torus::neighbor_coords.
         match torus.kind() {
-            TorusKind::ToroidalMesh => fill_torus(m, n, &mut offsets, &mut targets, |i, j| {
+            TorusKind::ToroidalMesh => {
+                fill_torus(m, n, &mut targets, |c| [c.north, c.south, c.west, c.east])
+            }
+            TorusKind::TorusCordalis => {
+                fill_torus(m, n, &mut targets, |c| [c.north, c.south, c.prev, c.next])
+            }
+            TorusKind::TorusSerpentinus => fill_torus(m, n, &mut targets, |c| {
                 [
-                    ((i + m - 1) % m, j),
-                    ((i + 1) % m, j),
-                    (i, (j + n - 1) % n),
-                    (i, (j + 1) % n),
-                ]
-            }),
-            TorusKind::TorusCordalis => fill_torus(m, n, &mut offsets, &mut targets, |i, j| {
-                [
-                    ((i + m - 1) % m, j),
-                    ((i + 1) % m, j),
-                    if j == 0 {
-                        ((i + m - 1) % m, n - 1)
+                    // (0, j) looks up to (m-1, j+1); (m-1, j) down to (0, j-1).
+                    if c.row == 0 {
+                        c.north - c.col + c.east_col
                     } else {
-                        (i, j - 1)
+                        c.north
                     },
-                    if j == n - 1 {
-                        ((i + 1) % m, 0)
-                    } else {
-                        (i, j + 1)
-                    },
-                ]
-            }),
-            TorusKind::TorusSerpentinus => fill_torus(m, n, &mut offsets, &mut targets, |i, j| {
-                [
-                    if i == 0 {
-                        (m - 1, (j + 1) % n)
-                    } else {
-                        (i - 1, j)
-                    },
-                    if i == m - 1 {
-                        (0, (j + n - 1) % n)
-                    } else {
-                        (i + 1, j)
-                    },
-                    if j == 0 {
-                        ((i + m - 1) % m, n - 1)
-                    } else {
-                        (i, j - 1)
-                    },
-                    if j == n - 1 {
-                        ((i + 1) % m, 0)
-                    } else {
-                        (i, j + 1)
-                    },
+                    if c.row == m - 1 { c.west_col } else { c.south },
+                    c.prev,
+                    c.next,
                 ]
             }),
         }
@@ -160,23 +131,58 @@ impl Adjacency {
     }
 }
 
+/// One vertex as [`fill_torus`] visits it: its position and the
+/// row-major indices a torus kind picks its four neighbours from.
+struct TorusCell {
+    row: usize,
+    col: usize,
+    /// `(row, col+1 mod n)`'s column.
+    east_col: usize,
+    /// `(row, col-1 mod n)`'s column.
+    west_col: usize,
+    /// Toroidal-mesh neighbours: `(row∓1 mod m, col)`, `(row, col∓1 mod n)`.
+    north: usize,
+    south: usize,
+    west: usize,
+    east: usize,
+    /// The row-major predecessor and successor, wrapping at the ends of
+    /// the grid (the chordal tori's west and east neighbours).
+    prev: usize,
+    next: usize,
+}
+
 /// Specialised CSR fill: monomorphised per call site in
 /// [`Adjacency::from_torus`], so each kind's wrap arithmetic inlines into
-/// its own row-major loop without any per-vertex dispatch.
+/// its own row-major loop without any per-vertex dispatch or division.
 #[inline(always)]
 fn fill_torus(
     m: usize,
     n: usize,
-    offsets: &mut Vec<u32>,
     targets: &mut Vec<u32>,
-    neighbors: impl Fn(usize, usize) -> [(usize, usize); 4],
+    neighbors: impl Fn(&TorusCell) -> [usize; 4],
 ) {
-    for i in 0..m {
-        for j in 0..n {
-            for (r, c) in neighbors(i, j) {
-                targets.push((r * n + c) as u32);
-            }
-            offsets.push(targets.len() as u32);
+    let count = m * n;
+    for row in 0..m {
+        let here = row * n;
+        let above = if row == 0 { count - n } else { here - n };
+        let below = if row == m - 1 { 0 } else { here + n };
+        for col in 0..n {
+            let v = here + col;
+            let west_col = if col == 0 { n - 1 } else { col - 1 };
+            let east_col = if col == n - 1 { 0 } else { col + 1 };
+            let cell = TorusCell {
+                row,
+                col,
+                east_col,
+                west_col,
+                north: above + col,
+                south: below + col,
+                west: here + west_col,
+                east: here + east_col,
+                prev: if v == 0 { count - 1 } else { v - 1 },
+                next: if v == count - 1 { 0 } else { v + 1 },
+            };
+            targets.extend(neighbors(&cell).map(|u| u as u32));
         }
     }
 }
@@ -232,7 +238,7 @@ mod tests {
     #[test]
     fn arithmetic_build_matches_generic_build() {
         for kind in TorusKind::ALL {
-            for (m, n) in [(2, 2), (2, 5), (3, 3), (4, 5), (7, 3)] {
+            for (m, n) in [(2, 2), (2, 5), (3, 3), (4, 5), (7, 3), (5, 64)] {
                 let t = Torus::new(kind, m, n);
                 assert_eq!(
                     Adjacency::from_torus(&t),

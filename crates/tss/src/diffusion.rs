@@ -185,7 +185,7 @@ pub fn run_rule_on_graph(
     .with_options(EngineOptions::default().with_max_rounds(max_rounds));
     let outcome = Runner::new().execute(&spec);
     (
-        outcome.final_coloring.cells().to_vec(),
+        outcome.final_coloring.into_cells(),
         outcome.rounds,
         outcome.termination,
     )

@@ -14,11 +14,11 @@
 //! `tss::diffusion::spread_on` to the synchronous re-scan reference
 //! semantics.
 
-use colored_tori::engine::{RunConfig, Simulator};
+use colored_tori::engine::{RunConfig, Simulator, Termination};
 use colored_tori::prelude::*;
 use colored_tori::protocols::{
-    AnyRule, Irreversible, ReverseSimpleMajority, ReverseStrongMajority, SmpProtocol,
-    ThresholdRule, TieBreak,
+    Irreversible, ReverseSimpleMajority, ReverseStrongMajority, SmpProtocol, ThresholdRule,
+    TieBreak,
 };
 use colored_tori::topology::Graph;
 use colored_tori::tss::diffusion::{spread, SpreadResult, Thresholds};
@@ -107,37 +107,6 @@ proptest! {
             }
         }
     }
-
-    /// The lanes also agree through `run`: same termination, same round
-    /// count, same tracking output.
-    #[test]
-    fn run_reports_agree_across_lanes(
-        kind in torus_kind(),
-        m in 3usize..=8,
-        n in 3usize..=8,
-        density in 5u8..=60,
-        seed in any::<u64>(),
-        rule_choice in 0usize..3,
-    ) {
-        let torus = Torus::new(kind, m, n);
-        let coloring = bicolor_config(&torus, density, seed);
-        let rule = match rule_choice {
-            0 => AnyRule::smp(),
-            1 => AnyRule::reverse_simple(TieBreak::PreferBlack),
-            _ => AnyRule::Threshold(ThresholdRule::new(Color::BLACK, 2)),
-        };
-        let config = RunConfig::for_dynamo(Color::BLACK);
-        let mut planes = Simulator::new(&torus, rule.clone(), coloring.clone());
-        let a = planes.run(&config);
-        let mut generic = Simulator::new(&torus, rule, coloring).with_generic_lane();
-        let b = generic.run(&config);
-        prop_assert_eq!(a.termination, b.termination);
-        prop_assert_eq!(a.rounds, b.rounds);
-        prop_assert_eq!(a.monotone, b.monotone);
-        prop_assert_eq!(a.recoloring_times, b.recoloring_times);
-        prop_assert_eq!(a.final_target_count, b.final_target_count);
-        prop_assert_eq!(planes.snapshot(), generic.snapshot());
-    }
 }
 
 /// A random colouring over palette `1..=k`.
@@ -211,6 +180,118 @@ proptest! {
                 );
                 prop_assert_eq!(planes.snapshot(), generic.snapshot());
                 prop_assert_eq!(generic.snapshot(), sweep.snapshot());
+            }
+        }
+    }
+}
+
+/// Runs `rule` from `coloring` on the plane lane and the generic lane
+/// and asserts identical reports and final states.  With `degenerate`
+/// the plane lane's hash collides on every round, so only replay
+/// verification separates repeats from collisions there.
+fn assert_runs_agree(
+    torus: &Torus,
+    rule: &dyn LocalRule,
+    coloring: &Coloring,
+    config: &RunConfig,
+    degenerate: bool,
+) -> Termination {
+    let name = rule.name();
+    let mut planes = Simulator::new(torus, rule, coloring.clone());
+    assert!(planes.uses_plane_lane(), "{name} left the plane lane");
+    if degenerate {
+        planes.force_degenerate_hash();
+    }
+    let a = planes.run(config);
+    let mut generic = Simulator::new(torus, rule, coloring.clone()).with_generic_lane();
+    let b = generic.run(config);
+    let context = format!("{name} on {torus:?} (degenerate hash: {degenerate})");
+    assert_eq!(a.termination, b.termination, "{context}");
+    assert_eq!(a.rounds, b.rounds, "{context}");
+    assert_eq!(a.monotone, b.monotone, "{context}");
+    assert_eq!(a.recoloring_times, b.recoloring_times, "{context}");
+    assert_eq!(a.final_target_count, b.final_target_count, "{context}");
+    assert_eq!(planes.snapshot(), generic.snapshot(), "{context}");
+    a.termination
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The lanes also agree through `run` — same termination (limit-cycle
+    /// periods included), same round count, same tracking output.  Every
+    /// case first runs every rule on a two-colour torus 3 to 8 cells wide
+    /// under the default round limit; it then runs every counting rule on
+    /// a palette of 2 to 8 colours, on tori narrow enough to put several
+    /// rows in a word or wide enough for fast, wrap and slow words.  This
+    /// pins the plane lane's per-plane-word cycle hash against the generic
+    /// lane's per-vertex one, and a quarter of the cases rerun the plane
+    /// lane with a degenerate hash.
+    #[test]
+    fn run_reports_agree_across_lanes(
+        kind in torus_kind(),
+        m in 3usize..=8,
+        narrow in 3usize..=8,
+        n in prop_oneof![3usize..=8, 60usize..=70],
+        k in 2u16..=8,
+        density in 5u8..=60,
+        seed in any::<u64>(),
+        degenerate in 0u8..4,
+    ) {
+        let torus = Torus::new(kind, m, narrow);
+        let coloring = bicolor_config(&torus, density, seed);
+        let config = RunConfig::for_dynamo(Color::BLACK);
+        for rule in bicolor_rules() {
+            assert_runs_agree(&torus, &*rule, &coloring, &config, false);
+        }
+
+        let torus = Torus::new(kind, m, n);
+        // Two colours: a sparse seed spreading through a background, as
+        // in the paper's dynamos; more colours: a uniform scatter.
+        let coloring = if k == 2 {
+            bicolor_config(&torus, density, seed)
+        } else {
+            multicolor_config(&torus, k, seed)
+        };
+        let config = RunConfig::for_dynamo(Color::new(k)).with_max_rounds(96);
+        for rule in counting_rules(k) {
+            assert_runs_agree(&torus, &*rule, &coloring, &config, false);
+            if degenerate == 0 {
+                assert_runs_agree(&torus, &*rule, &coloring, &config, true);
+            }
+        }
+    }
+}
+
+/// Limit cycles end runs identically on both lanes, with the real and the
+/// degenerate hash: a period-2 checkerboard blinker, alone and with a
+/// block of a third colour cut into it (so the plane lane carries two
+/// planes), on widths that give fast, wrap and slow words.
+#[test]
+fn cycle_periods_agree_across_lanes() {
+    for (kind, m, n) in [
+        (TorusKind::ToroidalMesh, 4, 64),
+        (TorusKind::ToroidalMesh, 6, 66),
+        (TorusKind::TorusCordalis, 8, 68),
+    ] {
+        let torus = Torus::new(kind, m, n);
+        let board =
+            colored_tori::coloring::patterns::checkerboard(&torus, Color::new(1), Color::new(2));
+        let mut blocked = board.clone();
+        for r in 0..2 {
+            for c in 0..3 {
+                blocked.set_at(r, c, Color::new(3));
+            }
+        }
+        for coloring in [board, blocked] {
+            for degenerate in [false, true] {
+                let rule = SmpProtocol;
+                let termination =
+                    assert_runs_agree(&torus, &rule, &coloring, &RunConfig::default(), degenerate);
+                assert!(
+                    matches!(termination, Termination::Cycle { .. }),
+                    "{kind:?} {m}x{n}: expected a limit cycle, got {termination:?}"
+                );
             }
         }
     }
