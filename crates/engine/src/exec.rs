@@ -13,9 +13,9 @@
 //!   `cancelled`), each with a `key: value` text round-trip like every
 //!   other wire type in the workspace;
 //! * [`LocalExecutor`] — the in-engine backend: a persistent worker pool
-//!   (the idiom that used to live inside the service scheduler; the
-//!   scheduler is now a thin wrapper over this pool) with a bounded
-//!   priority queue, queued-only cancellation and graceful drain;
+//!   with a bounded priority queue, queued-only cancellation and
+//!   graceful drain (the `ctori-service` server drives it directly, with
+//!   its result cache plugged in through [`OutcomeCache`]);
 //! * `RemoteExecutor` (in `ctori-service`) — the same trait over a TCP
 //!   connection, streaming progress through the `WATCH` protocol verb.
 //!
@@ -41,16 +41,25 @@
 //! pool.shutdown();
 //! ```
 //!
-//! Progress events are published by a **sampling observer**: while a job
-//! runs, every `progress_every`-th round (an [`crate::EngineOptions`]
-//! knob; `auto` = every round) is snapshotted into the job's event log as
-//! a [`RunEvent::Progress`] carrying the round number, the number of
-//! vertices that changed, and the colour histogram.  Handles poll the log
-//! ([`JobHandle::poll_events`]); the service serves it to remote watchers
-//! through `WATCH <id> [since-round]`.  The log keeps the most recent
-//! [`PROGRESS_RETAIN`] progress events (plus the started/terminal
-//! events, always), so a million-round job cannot grow server memory
-//! without bound.
+//! Each job keeps **one log**.  It holds the instants the job was queued
+//! and claimed, and its events, each stamped when it was logged.  Progress
+//! events are published by a **sampling observer**: while a job runs,
+//! every `progress_every`-th round (an [`crate::EngineOptions`] knob;
+//! `auto` = every round) is appended as a [`RunEvent::Progress`] carrying
+//! the round number, the number of vertices that changed, and the colour
+//! histogram.  Everything per-job reads this log:
+//!
+//! * handles poll it ([`JobHandle::poll_events`]), and the service
+//!   serves it to remote watchers through `WATCH <id> [since-round]`
+//!   ([`LocalExecutor::events_since`]);
+//! * [`LocalExecutor::job_trace`] renders it as a [`JobTrace`] for the
+//!   `TRACE <id>` verb (queued → claimed → progress… → terminal);
+//! * the `exec.queue.wait-us` histogram takes claimed − queued from it.
+//!
+//! The log keeps the most recent [`PROGRESS_RETAIN`] progress events
+//! while the job runs and [`TERMINAL_PROGRESS_RETAIN`] once it is
+//! terminal, plus the started and terminal events always, so a
+//! million-round job cannot grow server memory without bound.
 
 use crate::metrics::ColorHistogram;
 use crate::observe::{Observer, StepView};
@@ -59,7 +68,7 @@ use crate::simulator::Termination;
 use crate::spec::{RunSpec, SpecKey};
 use crate::sweep::default_threads;
 use crate::telemetry::clock::monotonic_nanos;
-use crate::telemetry::{Counter, Gauge, Histogram, JobTrace, Registry, SpanKind};
+use crate::telemetry::{Counter, Gauge, Histogram, JobTrace, Registry, SpanEvent, SpanKind};
 use ctori_coloring::Color;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -67,14 +76,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How many [`RunEvent::Progress`] entries a job's event log retains
-/// while the job is **in flight**.  The started event and the terminal
+/// How many [`RunEvent::Progress`] entries a job's log retains while the
+/// job is **in flight**.  The started event and the terminal
 /// event are kept in addition, so a watcher always sees the stream open
 /// and close even after drops.
 pub const PROGRESS_RETAIN: usize = 1024;
 
-/// How many [`RunEvent::Progress`] entries a **terminal** job's event
-/// log keeps.  Once the terminal event is pushed the log is truncated to
+/// How many [`RunEvent::Progress`] entries a **terminal** job's log
+/// keeps.  Once the terminal event is pushed the log is truncated to
 /// this newest tail: live watchers have already drained the stream, and
 /// keeping full logs for every record in the retention window would let
 /// memory grow to `retain_jobs × PROGRESS_RETAIN` events.
@@ -748,8 +757,8 @@ impl PartialOrd for QueueRef {
     }
 }
 
-/// A cursor into one job's event log (each handle owns one, so clones of
-/// a stream drain independently).
+/// A cursor into one job's log (each handle owns one, so clones of a
+/// stream drain independently).
 #[derive(Clone, Copy, Debug, Default)]
 struct EventCursor {
     seen_started: bool,
@@ -759,31 +768,57 @@ struct EventCursor {
     seen_terminal: bool,
 }
 
-/// One job's bounded event log: the started event, the most recent
-/// [`PROGRESS_RETAIN`] progress events, and the terminal event.
-#[derive(Default)]
-struct EventLog {
-    started: Option<RunEvent>,
-    progress: VecDeque<RunEvent>,
+/// An event with the telemetry-clock instant it was logged at.
+struct Stamped {
+    event: RunEvent,
+    at_nanos: u64,
+}
+
+/// One job's bounded log: the queued and claimed instants, the started
+/// event, the most recent [`PROGRESS_RETAIN`] progress events, and the
+/// terminal event.  See the [module docs](self) for its readers.
+struct JobLog {
+    queued_at: u64,
+    claimed_at: Option<u64>,
+    started: Option<Stamped>,
+    progress: VecDeque<Stamped>,
     /// Progress events evicted by the retention bound (absolute index of
     /// `progress[0]` is exactly this).
     dropped: usize,
-    terminal: Option<RunEvent>,
+    terminal: Option<Stamped>,
 }
 
-impl EventLog {
-    fn push(&mut self, event: RunEvent) {
-        match &event {
-            RunEvent::Started { .. } => self.started = Some(event),
+impl JobLog {
+    fn new(queued_at: u64) -> JobLog {
+        JobLog {
+            queued_at,
+            claimed_at: None,
+            started: None,
+            progress: VecDeque::new(),
+            dropped: 0,
+            terminal: None,
+        }
+    }
+
+    /// Stamps the claim; returns how long the job waited in the queue.
+    fn claim(&mut self, at_nanos: u64) -> u64 {
+        self.claimed_at = Some(at_nanos);
+        at_nanos.saturating_sub(self.queued_at)
+    }
+
+    fn push(&mut self, event: RunEvent, at_nanos: u64) {
+        let stamped = Stamped { event, at_nanos };
+        match &stamped.event {
+            RunEvent::Started { .. } => self.started = Some(stamped),
             RunEvent::Progress { .. } => {
                 if self.progress.len() >= PROGRESS_RETAIN {
                     self.progress.pop_front();
                     self.dropped += 1;
                 }
-                self.progress.push_back(event);
+                self.progress.push_back(stamped);
             }
             _ => {
-                self.terminal = Some(event);
+                self.terminal = Some(stamped);
                 // The stream is closed: shrink to the terminal tail so a
                 // full retention window of finished jobs stays small.
                 while self.progress.len() > TERMINAL_PROGRESS_RETAIN {
@@ -801,15 +836,16 @@ impl EventLog {
     fn since_round(&self, after: Option<usize>) -> Vec<RunEvent> {
         let mut out = Vec::new();
         if after.is_none() {
-            out.extend(self.started.clone());
+            out.extend(self.started.as_ref().map(|s| s.event.clone()));
         }
         out.extend(
             self.progress
                 .iter()
+                .map(|s| &s.event)
                 .filter(|e| after.is_none_or(|a| e.progress_round().is_some_and(|r| r > a)))
                 .cloned(),
         );
-        out.extend(self.terminal.clone());
+        out.extend(self.terminal.as_ref().map(|s| s.event.clone()));
         out
     }
 
@@ -819,20 +855,41 @@ impl EventLog {
         let mut out = Vec::new();
         if !cursor.seen_started {
             if let Some(started) = &self.started {
-                out.push(started.clone());
+                out.push(started.event.clone());
                 cursor.seen_started = true;
             }
         }
         let skip = cursor.next_progress.saturating_sub(self.dropped);
-        out.extend(self.progress.iter().skip(skip).cloned());
+        out.extend(self.progress.iter().skip(skip).map(|s| s.event.clone()));
         cursor.next_progress = self.dropped + self.progress.len();
         if !cursor.seen_terminal {
             if let Some(terminal) = &self.terminal {
-                out.push(terminal.clone());
+                out.push(terminal.event.clone());
                 cursor.seen_terminal = true;
             }
         }
         out
+    }
+
+    /// The `TRACE` view: the queued and claimed instants, then one span
+    /// per retained progress event and the terminal event.
+    fn trace(&self) -> JobTrace {
+        let span = |kind, at_nanos| SpanEvent { kind, at_nanos };
+        let mut spans = vec![span(SpanKind::Queued, self.queued_at)];
+        spans.extend(self.claimed_at.map(|at| span(SpanKind::Claimed, at)));
+        for Stamped { event, at_nanos } in self.progress.iter().chain(&self.terminal) {
+            let kind = match event {
+                RunEvent::Progress { round, .. } => SpanKind::Progress {
+                    round: *round as u64,
+                },
+                RunEvent::Finished { .. } => SpanKind::Done,
+                RunEvent::Failed { .. } => SpanKind::Failed,
+                RunEvent::Cancelled => SpanKind::Cancelled,
+                RunEvent::Started { .. } => continue, // kept in `started`
+            };
+            spans.push(span(kind, *at_nanos));
+        }
+        JobTrace::new(spans, self.dropped as u64)
     }
 }
 
@@ -846,19 +903,12 @@ struct JobRecord {
     from_cache: bool,
     outcome: Option<Arc<RunOutcome>>,
     error: Option<String>,
-    /// The event log, behind its **own** lock: the in-flight publisher
+    /// The job's log, behind its **own** lock: the in-flight publisher
     /// appends sampled progress through this `Arc` without ever touching
     /// the pool's state mutex, so per-round publishing never serializes
     /// the other workers or submitters.  Lock order where both are held
-    /// is always pool state → event log.
-    events: Arc<Mutex<EventLog>>,
-    /// The lifecycle span ring, behind its own lock for the same reason
-    /// as `events`: the in-flight publisher appends progress spans
-    /// through this `Arc` off the pool lock.  Lock order where both are
-    /// held is always pool state → trace log.
-    trace: Arc<Mutex<JobTrace>>,
-    /// When the job entered the queue, for the queue-wait histogram.
-    queued_at_nanos: u64,
+    /// is always pool state → job log.
+    log: Arc<Mutex<JobLog>>,
 }
 
 #[derive(Default)]
@@ -880,10 +930,6 @@ struct PoolState {
     /// Terminal job ids, oldest first — the retention window.
     terminal_order: VecDeque<u64>,
     counters: Counters,
-    /// Jobs ever admitted (monotone companion of `queued`).
-    submitted: u64,
-    /// Deepest the queue has ever been.
-    queued_hwm: usize,
     next_id: u64,
     next_seq: u64,
     shutdown: bool,
@@ -900,8 +946,8 @@ struct Shared {
     workers: usize,
     cache: Option<Arc<dyn OutcomeCache>>,
     /// The pool's metrics registry; exposed through
-    /// [`LocalExecutor::telemetry`] so embedding layers (the service
-    /// scheduler) can add their own instruments to the same exposition.
+    /// [`LocalExecutor::telemetry`] so embedding layers (the service's
+    /// server) can add their own instruments to the same exposition.
     telemetry: Arc<Registry>,
     /// Handles pre-registered at pool start, so the submit/claim/finish
     /// hot paths never touch the registry's map lock.
@@ -946,9 +992,8 @@ fn record_terminal(state: &mut PoolState, retain: usize, id: u64) {
 /// The in-engine [`Executor`] backend: a persistent worker pool over a
 /// bounded priority queue.  See the [module docs](self).
 ///
-/// This is the pool idiom that used to live inside the service
-/// scheduler; the scheduler is now a thin wrapper adding a result cache
-/// and wire-protocol ids on top.  [`Runner::execute`] and
+/// The service's TCP server drives this pool directly, adding a result
+/// cache and wire-protocol ids.  [`Runner::execute`] and
 /// [`Runner::sweep`] remain as blocking conveniences for callers that do
 /// not need handles.
 pub struct LocalExecutor {
@@ -984,8 +1029,6 @@ impl LocalExecutor {
                 jobs: HashMap::new(),
                 terminal_order: VecDeque::new(),
                 counters: Counters::default(),
-                submitted: 0,
-                queued_hwm: 0,
                 next_id: 1,
                 next_seq: 0,
                 shutdown: false,
@@ -1111,15 +1154,9 @@ impl LocalExecutor {
         id: u64,
         after_round: Option<usize>,
     ) -> Result<Vec<RunEvent>, ExecError> {
-        // Clone the log handle and read outside the pool lock, so
-        // cloning a large event batch never stalls the other pool users.
-        let events = {
-            let state = self.lock();
-            let record = state.jobs.get(&id).ok_or(ExecError::UnknownJob)?;
-            Arc::clone(&record.events)
-        };
-        let events = events.lock().expect("event log poisoned");
-        Ok(events.since_round(after_round))
+        let log = log_of(&self.shared, id)?;
+        let log = log.lock().expect("job log poisoned");
+        Ok(log.since_round(after_round))
     }
 
     /// A snapshot of the queue and job counters.
@@ -1132,8 +1169,8 @@ impl LocalExecutor {
             done: state.counters.done,
             failed: state.counters.failed,
             cancelled: state.counters.cancelled,
-            submitted: state.submitted,
-            queued_hwm: state.queued_hwm,
+            submitted: self.shared.metrics.jobs_submitted.value(),
+            queued_hwm: self.shared.metrics.queue_depth_hwm.value() as usize,
         }
     }
 
@@ -1145,19 +1182,13 @@ impl LocalExecutor {
         Arc::clone(&self.shared.telemetry)
     }
 
-    /// A copy of the job's lifecycle span ring (submitted → queued →
-    /// claimed → running → sampled progress → terminal).  This is the
-    /// query behind the service's `TRACE <id>` verb.
+    /// The job's lifecycle trace (queued → claimed → sampled progress →
+    /// terminal), rendered from its log.  This is the query behind the
+    /// service's `TRACE <id>` verb.
     pub fn job_trace(&self, id: u64) -> Result<JobTrace, ExecError> {
-        // As `events_since`: clone the trace handle under the pool lock,
-        // read it outside.
-        let trace = {
-            let state = self.lock();
-            let record = state.jobs.get(&id).ok_or(ExecError::UnknownJob)?;
-            Arc::clone(&record.trace)
-        };
-        let trace = trace.lock().expect("trace log poisoned");
-        Ok(trace.clone())
+        let log = log_of(&self.shared, id)?;
+        let log = log.lock().expect("job log poisoned");
+        Ok(log.trace())
     }
 
     /// Drains the pool: rejects new submissions, lets every queued and
@@ -1240,10 +1271,6 @@ fn enqueue_locked(
     state.next_id += 1;
     let seq = state.next_seq;
     state.next_seq += 1;
-    let now = monotonic_nanos();
-    let trace = Arc::new(Mutex::new(JobTrace::new()));
-    push_span(&trace, SpanKind::Submitted, now);
-    push_span(&trace, SpanKind::Queued, now);
     state.jobs.insert(
         id,
         JobRecord {
@@ -1253,9 +1280,7 @@ fn enqueue_locked(
             from_cache: false,
             outcome: None,
             error: None,
-            events: Arc::new(Mutex::new(EventLog::default())),
-            trace,
-            queued_at_nanos: now,
+            log: Arc::new(Mutex::new(JobLog::new(monotonic_nanos()))),
         },
     );
     state.queue.push(QueueRef {
@@ -1264,8 +1289,6 @@ fn enqueue_locked(
         id,
     });
     state.queued += 1;
-    state.submitted += 1;
-    state.queued_hwm = state.queued_hwm.max(state.queued);
     metrics.jobs_submitted.inc();
     metrics.queue_depth_hwm.record_max(state.queued as u64);
     id
@@ -1318,8 +1341,7 @@ fn cancel_on(shared: &Shared, id: u64) -> Result<(), ExecError> {
     }
     record.state = JobState::Cancelled;
     record.spec = None;
-    push_event(&record.events, RunEvent::Cancelled);
-    push_span(&record.trace, SpanKind::Cancelled, monotonic_nanos());
+    push_event(&record.log, RunEvent::Cancelled, monotonic_nanos());
     state.queued -= 1;
     state.counters.cancelled += 1;
     record_terminal(&mut state, shared.retain_jobs, id);
@@ -1328,15 +1350,17 @@ fn cancel_on(shared: &Shared, id: u64) -> Result<(), ExecError> {
     Ok(())
 }
 
-fn push_event(events: &Arc<Mutex<EventLog>>, event: RunEvent) {
-    events.lock().expect("event log poisoned").push(event);
+fn push_event(log: &Mutex<JobLog>, event: RunEvent, at_nanos: u64) {
+    log.lock().expect("job log poisoned").push(event, at_nanos);
 }
 
-fn push_span(trace: &Arc<Mutex<JobTrace>>, kind: SpanKind, at_nanos: u64) {
-    trace
-        .lock()
-        .expect("trace log poisoned")
-        .record(kind, at_nanos);
+/// The job's log handle, cloned under the pool lock so the caller reads
+/// (and clones large event batches) outside it without stalling the
+/// other pool users.
+fn log_of(shared: &Shared, id: u64) -> Result<Arc<Mutex<JobLog>>, ExecError> {
+    let state = shared.state.lock().expect("pool poisoned");
+    let record = state.jobs.get(&id).ok_or(ExecError::UnknownJob)?;
+    Ok(Arc::clone(&record.log))
 }
 
 fn outcome_of(state: &PoolState, id: u64) -> Result<Arc<RunOutcome>, ExecError> {
@@ -1354,48 +1378,33 @@ fn outcome_of(state: &PoolState, id: u64) -> Result<Arc<RunOutcome>, ExecError> 
 }
 
 /// The sampling observer a worker runs with: every `stride`-th round is
-/// published into the job's event log, where handles and the service's
-/// `WATCH` verb poll it *while the run is still in flight*.
+/// published into the job's log, where handles, the service's `WATCH`
+/// verb and `TRACE` read it *while the run is still in flight*.
 ///
-/// The publisher holds only the job's own event-log `Arc` — never the
-/// pool's state lock — so per-round publishing contends with nothing but
-/// the (rare) watcher of this very job.
+/// The publisher holds only the job's own log `Arc` — never the pool's
+/// state lock — so per-round publishing contends with nothing but the
+/// (rare) watcher of this very job.
 struct EventPublisher {
-    events: Arc<Mutex<EventLog>>,
-    /// The job's span ring: sampled rounds land here too, so a `TRACE`
-    /// of a finished job shows its in-flight cadence.  Held as its own
-    /// `Arc` — the publisher never touches the pool lock.
-    trace: Arc<Mutex<JobTrace>>,
+    log: Arc<Mutex<JobLog>>,
     stride: usize,
 }
 
 impl Observer for EventPublisher {
     fn on_start(&mut self, view: &StepView<'_>) {
-        push_event(
-            &self.events,
-            RunEvent::Started {
-                nodes: view.node_count(),
-            },
-        );
+        let started = RunEvent::Started {
+            nodes: view.node_count(),
+        };
+        push_event(&self.log, started, monotonic_nanos());
     }
 
     fn on_round(&mut self, view: &StepView<'_>) {
         if view.round().is_multiple_of(self.stride) {
-            push_event(
-                &self.events,
-                RunEvent::Progress {
-                    round: view.round(),
-                    changed: view.changed(),
-                    histogram: view.histogram(),
-                },
-            );
-            push_span(
-                &self.trace,
-                SpanKind::Progress {
-                    round: view.round() as u64,
-                },
-                monotonic_nanos(),
-            );
+            let progress = RunEvent::Progress {
+                round: view.round(),
+                changed: view.changed(),
+                histogram: view.histogram(),
+            };
+            push_event(&self.log, progress, monotonic_nanos());
         }
     }
 }
@@ -1430,15 +1439,10 @@ fn worker_loop(shared: &Shared) {
                     // this Queued -> Running transition
                     let spec = record.spec.take().expect("queued job still has its spec");
                     let key = record.key;
-                    let events = Arc::clone(&record.events);
-                    let trace = Arc::clone(&record.trace);
+                    let log = Arc::clone(&record.log);
                     let claimed_at = monotonic_nanos();
-                    shared
-                        .metrics
-                        .queue_wait_us
-                        .record(claimed_at.saturating_sub(record.queued_at_nanos) / 1_000);
-                    push_span(&trace, SpanKind::Claimed, claimed_at);
-                    push_span(&trace, SpanKind::Running, claimed_at);
+                    let waited = log.lock().expect("job log poisoned").claim(claimed_at);
+                    shared.metrics.queue_wait_us.record(waited / 1_000);
                     state.queued -= 1;
                     state.running += 1;
                     // A job stepping with T threads counts as T pool
@@ -1458,7 +1462,7 @@ fn worker_loop(shared: &Shared) {
                     } else {
                         1
                     };
-                    break Some((entry.id, key, spec, events, trace, claimed_at, step_threads));
+                    break Some((entry.id, key, spec, log, claimed_at, step_threads));
                 }
                 None if state.shutdown => break None,
                 None => {
@@ -1466,7 +1470,7 @@ fn worker_loop(shared: &Shared) {
                 }
             }
         };
-        let Some((id, key, spec, events, trace, claimed_at, step_threads)) = claimed else {
+        let Some((id, key, spec, log, claimed_at, step_threads)) = claimed else {
             return; // drained and shutting down
         };
         drop(state);
@@ -1488,17 +1492,14 @@ fn worker_loop(shared: &Shared) {
             record.state = JobState::Done;
             record.from_cache = true;
             // Terminal events are pushed under the state lock (nested
-            // state → event-log order) so a watcher can never see the
+            // state → job-log order) so a watcher can never see the
             // stream close while the job still reports as running.
-            push_event(
-                &events,
-                RunEvent::Finished {
-                    rounds: outcome.rounds,
-                    termination: outcome.termination,
-                },
-            );
             let done_at = monotonic_nanos();
-            push_span(&trace, SpanKind::Done, done_at);
+            let finished = RunEvent::Finished {
+                rounds: outcome.rounds,
+                termination: outcome.termination,
+            };
+            push_event(&log, finished, done_at);
             shared
                 .metrics
                 .job_run_us
@@ -1512,12 +1513,11 @@ fn worker_loop(shared: &Shared) {
 
         // Execute with the slots reserved at claim time (1 when the spec
         // did not explicitly ask for step-parallelism).  The publisher
-        // touches only the job's own event log, never the pool lock.
+        // touches only the job's own log, never the pool lock.
         let stride = spec.options.progress_stride();
         let result = catch_unwind(AssertUnwindSafe(|| {
             let mut publisher = EventPublisher {
-                events: Arc::clone(&events),
-                trace: Arc::clone(&trace),
+                log: Arc::clone(&log),
                 stride,
             };
             Runner::with_threads(step_threads).execute_observed(&spec, &mut publisher)
@@ -1541,7 +1541,7 @@ fn worker_loop(shared: &Shared) {
         // so the record outlives the worker
         let record = state.jobs.get_mut(&id).expect("running job exists");
         // Terminal events are pushed under the state lock (nested
-        // state → event-log order) so a watcher can never see the stream
+        // state → job-log order) so a watcher can never see the stream
         // close while the job still reports as running.
         let finished_at = monotonic_nanos();
         shared
@@ -1551,26 +1551,20 @@ fn worker_loop(shared: &Shared) {
         match result {
             Ok(outcome) => {
                 record.state = JobState::Done;
-                push_event(
-                    &events,
-                    RunEvent::Finished {
-                        rounds: outcome.rounds,
-                        termination: outcome.termination,
-                    },
-                );
-                push_span(&trace, SpanKind::Done, finished_at);
+                let finished = RunEvent::Finished {
+                    rounds: outcome.rounds,
+                    termination: outcome.termination,
+                };
+                push_event(&log, finished, finished_at);
                 record.outcome = Some(outcome);
                 state.counters.done += 1;
             }
             Err(message) => {
                 record.state = JobState::Failed;
-                push_event(
-                    &events,
-                    RunEvent::Failed {
-                        message: message.clone(),
-                    },
-                );
-                push_span(&trace, SpanKind::Failed, finished_at);
+                let failed = RunEvent::Failed {
+                    message: message.clone(),
+                };
+                push_event(&log, failed, finished_at);
                 record.error = Some(message);
                 state.counters.failed += 1;
             }
@@ -1632,15 +1626,9 @@ impl JobControl for LocalHandle {
     }
 
     fn poll_events(&mut self) -> Result<Vec<RunEvent>, ExecError> {
-        // As LocalExecutor::events_since: take the log handle under the
-        // pool lock, clone the events outside it.
-        let events = {
-            let state = self.shared.state.lock().expect("pool poisoned");
-            let record = state.jobs.get(&self.id).ok_or(ExecError::UnknownJob)?;
-            Arc::clone(&record.events)
-        };
-        let events = events.lock().expect("event log poisoned");
-        Ok(events.poll(&mut self.cursor))
+        let log = log_of(&self.shared, self.id)?;
+        let log = log.lock().expect("job log poisoned");
+        Ok(log.poll(&mut self.cursor))
     }
 }
 
@@ -1916,6 +1904,55 @@ mod tests {
     }
 
     #[test]
+    fn stale_queue_entry_survives_record_eviction() {
+        // A cancelled job's heap entry outlives its record when a tight
+        // retention window evicts the record before a worker pops the
+        // entry.  That pop must be skipped, not panic (a panic would
+        // poison the pool lock and kill the whole pool).
+        let pool = LocalExecutor::start(LocalExecutorConfig {
+            workers: 1,
+            queue_capacity: 64,
+            retain_jobs: 1,
+        });
+        // With retain_jobs=1 a record may be evicted before wait_job
+        // looks at it; that means the job already reached a terminal
+        // state, so UnknownJob is as good as an outcome here.
+        let wait_terminal = |id: u64| match pool.wait_job(id, None) {
+            Ok(_) | Err(ExecError::UnknownJob) => {}
+            Err(other) => panic!("unexpected error: {other}"),
+        };
+        // Head occupies the single worker; tail sits at low priority.
+        let head = pool.enqueue(spec(32, 0), Priority::Normal).unwrap();
+        let tail = pool.enqueue(spec(32, 1), Priority::Low).unwrap();
+        match pool.cancel_job(tail) {
+            // Normal-priority jobs now terminate ahead of the stale Low
+            // entry; with retain_jobs=1 each completion evicts the
+            // previous terminal record, including the cancelled tail's.
+            Ok(()) => {}
+            Err(ExecError::NotCancellable) => {
+                // The worker was faster; the stale-entry scenario did not
+                // arise this run, which is a legal race.
+            }
+            Err(other) => panic!("unexpected error: {other}"),
+        }
+        wait_terminal(head);
+        let filler: Vec<u64> = (0..3)
+            .map(|n| pool.enqueue(spec(8, n), Priority::Normal).unwrap())
+            .collect();
+        for id in filler {
+            wait_terminal(id);
+        }
+        // The worker has popped (and skipped) the stale tail entry by the
+        // time the queue is empty again; the pool must still serve — a
+        // panic on the stale entry would have poisoned the pool lock and
+        // every call below would die on "pool poisoned".
+        let probe = pool.enqueue(spec(8, 7), Priority::Normal).unwrap();
+        wait_terminal(probe);
+        assert_eq!(pool.stats().queued, 0);
+        pool.shutdown();
+    }
+
+    #[test]
     fn wait_times_out_with_not_finished() {
         let pool = LocalExecutor::start(LocalExecutorConfig {
             workers: 1,
@@ -2009,23 +2046,29 @@ mod tests {
 
     #[test]
     fn event_log_bounds_progress_retention() {
-        let mut log = EventLog::default();
-        log.push(RunEvent::Started { nodes: 9 });
+        let mut log = JobLog::new(0);
+        log.push(RunEvent::Started { nodes: 9 }, 1);
         for round in 1..=(PROGRESS_RETAIN + 10) {
-            log.push(RunEvent::Progress {
+            let progress = RunEvent::Progress {
                 round,
                 changed: 1,
                 histogram: ColorHistogram {
                     round,
                     counts: vec![],
                 },
-            });
+            };
+            log.push(progress, round as u64 + 1);
         }
         // In flight: bounded at PROGRESS_RETAIN, oldest dropped.
         assert_eq!(log.progress.len(), PROGRESS_RETAIN);
         assert_eq!(log.dropped, 10);
+        // The trace view follows the same retention.
+        let trace = log.trace();
+        assert_eq!(trace.len(), 1 + PROGRESS_RETAIN, "queued + progress");
+        assert_eq!(trace.dropped(), 10);
+        assert_eq!(trace.spans()[1].kind, SpanKind::Progress { round: 11 });
         // Terminal: the log shrinks to the newest tail.
-        log.push(RunEvent::Cancelled);
+        log.push(RunEvent::Cancelled, 1_000_000);
         assert_eq!(log.progress.len(), TERMINAL_PROGRESS_RETAIN);
         assert_eq!(log.dropped, PROGRESS_RETAIN + 10 - TERMINAL_PROGRESS_RETAIN);
         let all = log.since_round(None);
@@ -2050,6 +2093,12 @@ mod tests {
             "survivors + terminal"
         );
         assert!(log.poll(&mut cursor).is_empty());
+        // So does the terminal trace: queued, the tail, the close.
+        let trace = log.trace();
+        assert_eq!(trace.len(), TERMINAL_PROGRESS_RETAIN + 2);
+        assert_eq!(trace.dropped() as usize, log.dropped);
+        assert_eq!(trace.terminal().map(|s| s.kind), Some(SpanKind::Cancelled));
+        assert!(trace.is_monotone());
     }
 
     #[test]
@@ -2178,18 +2227,48 @@ mod tests {
         let trace = pool.job_trace(id).unwrap();
         assert!(trace.is_monotone(), "{trace:?}");
         let kinds: Vec<SpanKind> = trace.spans().iter().map(|s| s.kind).collect();
-        assert_eq!(kinds[0], SpanKind::Submitted);
-        assert_eq!(kinds[1], SpanKind::Queued);
-        assert_eq!(kinds[2], SpanKind::Claimed);
-        assert_eq!(kinds[3], SpanKind::Running);
+        assert_eq!(kinds[..2], [SpanKind::Queued, SpanKind::Claimed]);
         assert_eq!(trace.terminal().map(|s| s.kind), Some(SpanKind::Done));
         assert!(
             kinds.iter().any(|k| matches!(k, SpanKind::Progress { .. })),
             "sampled rounds appear as progress spans: {kinds:?}"
         );
-        assert!(trace.queue_wait_nanos().is_some());
-        assert!(trace.run_nanos().is_some());
+        let (queued, claimed, done) = (
+            trace.spans()[0].at_nanos,
+            trace.spans()[1].at_nanos,
+            trace.spans()[kinds.len() - 1].at_nanos,
+        );
+        assert_eq!(trace.queue_wait_nanos(), Some(claimed - queued));
+        assert_eq!(trace.run_nanos(), Some(done - claimed));
         assert!(matches!(pool.job_trace(999), Err(ExecError::UnknownJob)));
+
+        // TRACE and WATCH read one log, so they agree on the progress
+        // rounds — also once a long job's log shrank to its terminal tail.
+        let id = pool.enqueue(growth_spec(48), Priority::Normal).unwrap();
+        let outcome = pool.wait_job(id, None).unwrap();
+        assert!(outcome.rounds > TERMINAL_PROGRESS_RETAIN, "{outcome:?}");
+        let watched: Vec<u64> = pool
+            .events_since(id, None)
+            .unwrap()
+            .iter()
+            .filter_map(RunEvent::progress_round)
+            .map(|round| round as u64)
+            .collect();
+        let trace = pool.job_trace(id).unwrap();
+        let traced: Vec<u64> = trace
+            .spans()
+            .iter()
+            .filter_map(|s| match s.kind {
+                SpanKind::Progress { round } => Some(round),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(traced, watched);
+        assert_eq!(traced.len(), TERMINAL_PROGRESS_RETAIN);
+        assert_eq!(
+            trace.dropped() as usize,
+            outcome.rounds - TERMINAL_PROGRESS_RETAIN
+        );
         pool.shutdown();
     }
 

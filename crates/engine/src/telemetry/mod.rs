@@ -20,15 +20,16 @@
 //!   [`MetricsSnapshot`]s are plain data with a `key: value` text
 //!   round-trip (like `ServiceStats`) and an associative, commutative
 //!   [`MetricsSnapshot::merge`] for multi-process aggregation.
-//! * [`spans`] — the job-lifecycle trace model: a bounded ring of typed,
+//! * [`spans`] — the job-lifecycle trace model: typed,
 //!   monotonically-timestamped [`SpanEvent`]s
-//!   (submitted → queued → claimed → running → progress… → terminal)
-//!   recorded per job by the executor, with derived queue-wait and
-//!   run-time durations and its own text round-trip for the `TRACE`
-//!   protocol verb.
+//!   (queued → claimed → progress… → terminal) with derived queue-wait
+//!   and run-time durations and a text round-trip for the `TRACE`
+//!   protocol verb.  A [`JobTrace`] is a view, not a store: the executor
+//!   renders it on demand from the job's one log.
 //!
-//! The [`crate::LocalExecutor`] owns a registry and records every job's
-//! spans; `ctori-service` serves both over the wire as the `METRICS` and
+//! The [`crate::LocalExecutor`] owns a registry and keeps one log per
+//! job, the source of both its event stream and its trace;
+//! `ctori-service` serves them over the wire as the `METRICS` and
 //! `TRACE` verbs and folds its own per-verb traffic counters into the
 //! same registry.
 
@@ -42,4 +43,4 @@ pub use clock::{monotonic_nanos, Clock, ManualClock, MonotonicClock};
 pub use counters::{Counter, Gauge};
 pub use histogram::{Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use registry::{MetricValue, MetricsParseError, MetricsSnapshot, Registry};
-pub use spans::{JobTrace, SpanEvent, SpanKind, TraceParseError, TRACE_PROGRESS_RETAIN};
+pub use spans::{JobTrace, SpanEvent, SpanKind, TraceParseError};

@@ -1,21 +1,23 @@
 //! The job-lifecycle trace model.
 //!
-//! A [`JobTrace`] is a bounded ring of typed, monotonically-timestamped
-//! [`SpanEvent`]s covering one job's life:
+//! A [`JobTrace`] is the `TRACE` view of one job: typed,
+//! monotonically-timestamped [`SpanEvent`]s covering its life:
 //!
 //! ```text
-//! submitted → queued → claimed → running → progress… → done
-//!                 │                                  → failed
-//!                 └──────────────────────────────────→ cancelled
+//! queued → claimed → progress… → done
+//!    │                         → failed
+//!    └───────────────────────→ cancelled
 //! ```
 //!
-//! Lifecycle spans are always kept; per-round progress spans are bounded
-//! by [`TRACE_PROGRESS_RETAIN`] (oldest dropped first, counted in
-//! [`JobTrace::dropped`]), so a million-round job cannot grow the
-//! executor's memory.  Timestamps come from the telemetry clock
-//! ([`super::clock::monotonic_nanos`]) and are clamped non-decreasing on
-//! recording, so a parsed trace is always replayable in order.  The
-//! queue-wait and run-time durations a TRACE consumer wants are derived
+//! [`crate::LocalExecutor::job_trace`] renders this view on demand from
+//! the job's one log, the same log `WATCH` reads.  Progress spans
+//! therefore follow that log's retention (the newest
+//! [`crate::exec::PROGRESS_RETAIN`] while the job runs, the newest
+//! [`crate::exec::TERMINAL_PROGRESS_RETAIN`] once it is terminal), and
+//! [`JobTrace::dropped`] counts the progress events evicted before them.
+//! Timestamps come from the telemetry clock
+//! ([`super::clock::monotonic_nanos`]).  The queue-wait and run-time
+//! durations a TRACE consumer wants are derived
 //! ([`JobTrace::queue_wait_nanos`] / [`JobTrace::run_nanos`]) rather
 //! than stored.
 //!
@@ -23,24 +25,14 @@
 //! text round-trip ([`JobTrace::to_text`] / [`JobTrace::from_text`]) —
 //! the payload of the service's `TRACE <id>` verb.
 
-/// How many `Progress` spans one job's trace retains.  Lifecycle spans
-/// (at most six) are kept in addition.
-pub const TRACE_PROGRESS_RETAIN: usize = 256;
-
 /// What happened at one point of a job's life.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SpanKind {
-    /// The submission was accepted by the executor.
-    Submitted,
-    /// The job entered the priority queue (same instant as `Submitted`
-    /// for the local pool, kept distinct for backends that admit before
-    /// they queue).
+    /// The job entered the priority queue.
     Queued,
-    /// A worker popped the job off the queue.
+    /// A worker popped the job off the queue and began executing it.
     Claimed,
-    /// The worker began executing the simulation.
-    Running,
     /// A sampled synchronous round completed.
     Progress {
         /// The 1-based round that completed.
@@ -66,10 +58,8 @@ impl SpanKind {
     /// The space-free wire token (`progress:<round>` for progress).
     fn token(self) -> String {
         match self {
-            SpanKind::Submitted => "submitted".into(),
             SpanKind::Queued => "queued".into(),
             SpanKind::Claimed => "claimed".into(),
-            SpanKind::Running => "running".into(),
             SpanKind::Progress { round } => format!("progress:{round}"),
             SpanKind::Done => "done".into(),
             SpanKind::Failed => "failed".into(),
@@ -80,10 +70,8 @@ impl SpanKind {
     /// Parses the token produced by [`SpanKind::token`].
     fn from_token(token: &str) -> Option<SpanKind> {
         match token {
-            "submitted" => Some(SpanKind::Submitted),
             "queued" => Some(SpanKind::Queued),
             "claimed" => Some(SpanKind::Claimed),
-            "running" => Some(SpanKind::Running),
             "done" => Some(SpanKind::Done),
             "failed" => Some(SpanKind::Failed),
             "cancelled" => Some(SpanKind::Cancelled),
@@ -104,7 +92,7 @@ pub struct SpanEvent {
     pub at_nanos: u64,
 }
 
-/// One job's bounded, ordered span trace.  See the [module docs](self).
+/// One job's ordered span trace.  See the [module docs](self).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct JobTrace {
     spans: Vec<SpanEvent>,
@@ -112,9 +100,10 @@ pub struct JobTrace {
 }
 
 impl JobTrace {
-    /// An empty trace.
-    pub fn new() -> JobTrace {
-        JobTrace::default()
+    /// A trace of `spans`, oldest first, after `dropped` evicted
+    /// `Progress` spans.
+    pub fn new(spans: Vec<SpanEvent>, dropped: u64) -> JobTrace {
+        JobTrace { spans, dropped }
     }
 
     /// The retained spans, oldest first.
@@ -137,35 +126,6 @@ impl JobTrace {
         self.spans.is_empty()
     }
 
-    /// Appends one span.  The timestamp is clamped non-decreasing
-    /// against the previous span, so [`JobTrace::is_monotone`] holds by
-    /// construction; `Progress` spans beyond [`TRACE_PROGRESS_RETAIN`]
-    /// evict the oldest retained `Progress` span.
-    pub fn record(&mut self, kind: SpanKind, at_nanos: u64) {
-        let at_nanos = match self.spans.last() {
-            Some(last) => at_nanos.max(last.at_nanos),
-            None => at_nanos,
-        };
-        if matches!(kind, SpanKind::Progress { .. }) {
-            let progress = self
-                .spans
-                .iter()
-                .filter(|s| matches!(s.kind, SpanKind::Progress { .. }))
-                .count();
-            if progress >= TRACE_PROGRESS_RETAIN {
-                if let Some(oldest) = self
-                    .spans
-                    .iter()
-                    .position(|s| matches!(s.kind, SpanKind::Progress { .. }))
-                {
-                    self.spans.remove(oldest);
-                    self.dropped += 1;
-                }
-            }
-        }
-        self.spans.push(SpanEvent { kind, at_nanos });
-    }
-
     /// The timestamp of the first span of the kind `pred` accepts.
     fn first_at(&self, pred: impl Fn(SpanKind) -> bool) -> Option<u64> {
         self.spans.iter().find(|s| pred(s.kind)).map(|s| s.at_nanos)
@@ -186,20 +146,21 @@ impl JobTrace {
     pub fn queue_wait_nanos(&self) -> Option<u64> {
         let queued = self.first_at(|k| k == SpanKind::Queued)?;
         let claimed = self.first_at(|k| k == SpanKind::Claimed)?;
-        Some(claimed - queued)
+        Some(claimed.saturating_sub(queued))
     }
 
-    /// Nanoseconds the job spent executing: first `Running` span to the
+    /// Nanoseconds the job spent executing: first `Claimed` span to the
     /// terminal span.  `None` until both exist.
     pub fn run_nanos(&self) -> Option<u64> {
-        let running = self.first_at(|k| k == SpanKind::Running)?;
+        let claimed = self.first_at(|k| k == SpanKind::Claimed)?;
         let terminal = self.terminal()?;
-        Some(terminal.at_nanos - running)
+        Some(terminal.at_nanos.saturating_sub(claimed))
     }
 
-    /// Whether the timestamps never decrease (structurally true for
-    /// traces built through [`JobTrace::record`]; a parsed trace from a
-    /// foreign producer is validated by callers through this).
+    /// Whether the timestamps never decrease (true for the executor's
+    /// traces, whose spans are stamped in happens-before order on the
+    /// monotonic telemetry clock; a parsed trace from a foreign producer
+    /// is validated by callers through this).
     pub fn is_monotone(&self) -> bool {
         self.spans
             .windows(2)
@@ -220,7 +181,7 @@ impl JobTrace {
     /// Parses a trace produced by [`JobTrace::to_text`].
     pub fn from_text(text: &str) -> Result<JobTrace, TraceParseError> {
         let bad = |detail: String| TraceParseError { detail };
-        let mut trace = JobTrace::new();
+        let mut trace = JobTrace::default();
         let mut saw_dropped = false;
         for raw in text.lines() {
             let line = raw.trim();
@@ -280,65 +241,48 @@ impl std::error::Error for TraceParseError {}
 mod tests {
     use super::*;
 
+    fn span(kind: SpanKind, at_nanos: u64) -> SpanEvent {
+        SpanEvent { kind, at_nanos }
+    }
+
     fn full_trace() -> JobTrace {
-        let mut trace = JobTrace::new();
-        trace.record(SpanKind::Submitted, 10);
-        trace.record(SpanKind::Queued, 10);
-        trace.record(SpanKind::Claimed, 40);
-        trace.record(SpanKind::Running, 45);
-        trace.record(SpanKind::Progress { round: 8 }, 60);
-        trace.record(SpanKind::Progress { round: 16 }, 80);
-        trace.record(SpanKind::Done, 145);
-        trace
+        JobTrace::new(
+            vec![
+                span(SpanKind::Queued, 10),
+                span(SpanKind::Claimed, 45),
+                span(SpanKind::Progress { round: 8 }, 60),
+                span(SpanKind::Progress { round: 16 }, 80),
+                span(SpanKind::Done, 145),
+            ],
+            0,
+        )
     }
 
     #[test]
     fn durations_derive_from_the_spans() {
         let trace = full_trace();
-        assert_eq!(trace.queue_wait_nanos(), Some(30));
+        assert_eq!(trace.queue_wait_nanos(), Some(35));
         assert_eq!(trace.run_nanos(), Some(100));
         assert_eq!(trace.terminal().map(|s| s.kind), Some(SpanKind::Done));
         assert!(trace.is_monotone());
         // A cancelled job has a queue but no claim and no run.
-        let mut cancelled = JobTrace::new();
-        cancelled.record(SpanKind::Submitted, 5);
-        cancelled.record(SpanKind::Queued, 5);
-        cancelled.record(SpanKind::Cancelled, 9);
+        let cancelled = JobTrace::new(
+            vec![span(SpanKind::Queued, 5), span(SpanKind::Cancelled, 9)],
+            0,
+        );
         assert_eq!(cancelled.queue_wait_nanos(), None);
         assert_eq!(cancelled.run_nanos(), None);
         assert_eq!(
             cancelled.terminal().map(|s| s.kind),
             Some(SpanKind::Cancelled)
         );
-    }
-
-    #[test]
-    fn record_clamps_timestamps_monotone() {
-        let mut trace = JobTrace::new();
-        trace.record(SpanKind::Submitted, 100);
-        trace.record(SpanKind::Queued, 90); // clock jitter across threads
-        assert_eq!(trace.spans()[1].at_nanos, 100);
-        assert!(trace.is_monotone());
-    }
-
-    #[test]
-    fn progress_spans_are_bounded_lifecycle_spans_are_not() {
-        let mut trace = JobTrace::new();
-        trace.record(SpanKind::Submitted, 0);
-        trace.record(SpanKind::Queued, 0);
-        trace.record(SpanKind::Claimed, 1);
-        trace.record(SpanKind::Running, 1);
-        for round in 1..=(TRACE_PROGRESS_RETAIN as u64 + 50) {
-            trace.record(SpanKind::Progress { round }, round + 1);
-        }
-        trace.record(SpanKind::Done, 1_000_000);
-        assert_eq!(trace.dropped(), 50);
-        assert_eq!(trace.len(), TRACE_PROGRESS_RETAIN + 5);
-        // The oldest progress spans went first; lifecycle spans survive.
-        assert_eq!(trace.spans()[0].kind, SpanKind::Submitted);
-        assert_eq!(trace.spans()[4].kind, SpanKind::Progress { round: 51 });
-        assert_eq!(trace.queue_wait_nanos(), Some(1));
-        assert!(trace.run_nanos().is_some());
+        // A foreign trace that runs backwards is reported, not trusted.
+        let backwards = JobTrace::new(
+            vec![span(SpanKind::Queued, 100), span(SpanKind::Claimed, 90)],
+            0,
+        );
+        assert!(!backwards.is_monotone());
+        assert_eq!(backwards.queue_wait_nanos(), Some(0));
     }
 
     #[test]
@@ -349,8 +293,10 @@ mod tests {
         assert!(text.starts_with("dropped: 0\n"));
         assert!(text.contains("span: progress:8 60"));
         // An empty trace still renders its dropped line.
-        let empty = JobTrace::new();
+        let empty = JobTrace::default();
         assert_eq!(JobTrace::from_text(&empty.to_text()).unwrap(), empty);
+        let dropped = JobTrace::new(vec![span(SpanKind::Progress { round: 40 }, 7)], 39);
+        assert_eq!(JobTrace::from_text(&dropped.to_text()).unwrap(), dropped);
     }
 
     #[test]
@@ -365,6 +311,8 @@ mod tests {
             "dropped: 0\nspan: done 4 5\n",
             "dropped: 0\nnonsense\n",
             "dropped: 0\nspan: progress:x 4\n",
+            "dropped: 0\nspan: submitted 4\n",
+            "dropped: 0\nspan: running 4\n",
         ] {
             assert!(JobTrace::from_text(bad).is_err(), "{bad:?} must not parse");
         }

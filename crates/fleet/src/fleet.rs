@@ -791,8 +791,8 @@ pub struct BackendStats {
 }
 
 /// Fleet-local counters: everything the router knows that no single
-/// backend can.  Round-trips through [`FleetLocal::to_text`] /
-/// [`FleetLocal::from_text`] in the workspace's `key: value` convention.
+/// backend can (also exposed as instruments by
+/// [`FleetExecutor::metrics`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FleetLocal {
     /// Jobs routed to each backend, by slot index.
@@ -809,60 +809,6 @@ pub struct FleetLocal {
     pub readds: u64,
 }
 
-impl FleetLocal {
-    /// Renders the counters as `key: value` lines.
-    pub fn to_text(&self) -> String {
-        let routed: Vec<String> = self.jobs_routed.iter().map(u64::to_string).collect();
-        format!(
-            "jobs-routed: {}\nreroutes: {}\nsteals: {}\nprobe-failures: {}\nevictions: {}\nreadds: {}\n",
-            routed.join(" "),
-            self.reroutes,
-            self.steals,
-            self.probe_failures,
-            self.evictions,
-            self.readds,
-        )
-    }
-
-    /// Parses the text form produced by [`FleetLocal::to_text`].
-    pub fn from_text(text: &str) -> Result<FleetLocal, ServiceError> {
-        let mut local = FleetLocal::default();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let (key, value) = line.split_once(':').ok_or_else(|| {
-                ServiceError::Protocol(format!("fleet line {line:?} is not `key: value`"))
-            })?;
-            let value = value.trim();
-            let parse = |v: &str| {
-                v.parse::<u64>().map_err(|_| {
-                    ServiceError::Protocol(format!("fleet value {v:?} is not a number"))
-                })
-            };
-            match key.trim() {
-                "jobs-routed" => {
-                    local.jobs_routed = value
-                        .split_whitespace()
-                        .map(parse)
-                        .collect::<Result<_, _>>()?;
-                }
-                "reroutes" => local.reroutes = parse(value)?,
-                "steals" => local.steals = parse(value)?,
-                "probe-failures" => local.probe_failures = parse(value)?,
-                "evictions" => local.evictions = parse(value)?,
-                "readds" => local.readds = parse(value)?,
-                other => {
-                    return Err(ServiceError::Protocol(format!(
-                        "unknown fleet key {other:?}"
-                    )))
-                }
-            }
-        }
-        Ok(local)
-    }
-}
-
 /// The full fleet observability snapshot.
 #[derive(Clone, Debug)]
 pub struct FleetStats {
@@ -877,23 +823,6 @@ pub struct FleetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fleet_local_text_round_trips() {
-        let local = FleetLocal {
-            jobs_routed: vec![3, 0, 7],
-            reroutes: 2,
-            steals: 1,
-            probe_failures: 5,
-            evictions: 1,
-            readds: 1,
-        };
-        let text = local.to_text();
-        assert_eq!(FleetLocal::from_text(&text).unwrap(), local, "\n{text}");
-        assert!(FleetLocal::from_text("steals: many\n").is_err());
-        assert!(FleetLocal::from_text("nonsense\n").is_err());
-        assert!(FleetLocal::from_text("turbo: 1\n").is_err());
-    }
 
     #[test]
     fn empty_config_is_rejected() {

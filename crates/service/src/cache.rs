@@ -9,8 +9,8 @@
 //! verb reports, so a client can *observe* that its duplicate submission
 //! was served from cache.
 //!
-//! The cache is deliberately a plain single-threaded value; the scheduler
-//! serializes access under its own state lock.
+//! The cache is deliberately a plain single-threaded value; the server
+//! shares it with the worker pool behind one mutex.
 //!
 //! Keys are FNV-1a digests, which are **not** collision-resistant: a
 //! crafted spec pair could share a key, so serving a hit to a different
@@ -18,9 +18,9 @@
 //! service targets.  See [`SpecKey`] for the full caveat.
 
 use crate::stats::CacheStats;
-use ctori_engine::{RunOutcome, SpecKey};
+use ctori_engine::{OutcomeCache, RunOutcome, SpecKey};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 struct Entry {
     outcome: Arc<RunOutcome>,
@@ -55,8 +55,8 @@ impl ResultCache {
     }
 
     /// Looks up a memoized outcome, counting a hit or a miss and marking
-    /// the entry as recently used.  Hands back a shared handle — the
-    /// scheduler serves it under its lock without copying the outcome.
+    /// the entry as recently used.  Hands back a shared handle, so a hit
+    /// never copies the outcome.
     pub fn get(&mut self, key: &SpecKey) -> Option<Arc<RunOutcome>> {
         self.tick += 1;
         match self.entries.get_mut(key) {
@@ -80,8 +80,8 @@ impl ResultCache {
         }
         self.tick += 1;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            // O(n) scan: the capacity bound is small (hundreds), and the
-            // scheduler only reaches here once per *fresh* execution, whose
+            // O(n) scan: the capacity bound is small (hundreds), and a
+            // worker only reaches here once per *fresh* execution, whose
             // cost dwarfs the scan.
             if let Some(&lru) = self
                 .entries
@@ -128,6 +128,33 @@ impl ResultCache {
             entries: self.entries.len(),
             capacity: self.capacity,
         }
+    }
+}
+
+/// The server's [`OutcomeCache`]: the [`ResultCache`] behind one mutex,
+/// because the pool probes and publishes from its worker threads.
+pub(crate) struct SharedCache(Mutex<ResultCache>);
+
+impl SharedCache {
+    pub(crate) fn new(capacity: usize) -> SharedCache {
+        SharedCache(Mutex::new(ResultCache::new(capacity)))
+    }
+
+    pub(crate) fn stats(&self) -> CacheStats {
+        self.0.lock().expect("cache poisoned").stats()
+    }
+}
+
+impl OutcomeCache for SharedCache {
+    fn probe(&self, key: &SpecKey) -> Option<Arc<RunOutcome>> {
+        self.0.lock().expect("cache poisoned").get(key)
+    }
+
+    fn publish(&self, key: SpecKey, outcome: &Arc<RunOutcome>) {
+        self.0
+            .lock()
+            .expect("cache poisoned")
+            .insert(key, Arc::clone(outcome));
     }
 }
 

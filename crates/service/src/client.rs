@@ -229,9 +229,8 @@ impl ServiceClient {
         }
     }
 
-    /// A job's lifecycle span ring: submitted → queued → claimed →
-    /// running → sampled progress → terminal, with monotonic
-    /// timestamps.
+    /// A job's lifecycle trace: queued → claimed → sampled progress →
+    /// terminal, with monotonic timestamps.
     pub fn trace(&mut self, id: JobId) -> Result<JobTrace, ServiceError> {
         match self.roundtrip(&Request::Trace { id })? {
             Response::Trace(trace) => Ok(trace),

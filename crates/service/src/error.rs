@@ -1,14 +1,14 @@
 //! The service error type.
 //!
-//! One enum covers the whole stack — scheduler admission, job lifecycle,
+//! One enum covers the whole stack — job admission and lifecycle (the
+//! engine's [`ExecError`], wrapped as [`ServiceError::Exec`]),
 //! wire-protocol framing, and transport I/O — and implements
 //! [`std::error::Error`] with `source()` chaining, so binaries compose it
 //! with `Box<dyn Error>` and `?` throughout.  Server-side errors cross
 //! the wire as `ERR <code> <message>` lines and are rebuilt on the client
 //! as [`ServiceError::Remote`].
 
-use crate::job::{JobId, JobState};
-use ctori_engine::{OutcomeParseError, SpecParseError};
+use ctori_engine::{ExecError, OutcomeParseError, SpecParseError};
 
 /// Anything that can go wrong between a client call and its outcome.
 #[derive(Debug)]
@@ -16,39 +16,9 @@ use ctori_engine::{OutcomeParseError, SpecParseError};
 pub enum ServiceError {
     /// A transport-level I/O failure.
     Io(std::io::Error),
-    /// The submission queue is at capacity; retry later.
-    QueueFull {
-        /// The configured queue bound.
-        capacity: usize,
-    },
-    /// No job with that id was ever submitted here.
-    UnknownJob(JobId),
-    /// The job has not reached a terminal state yet.
-    NotFinished {
-        /// The job in question.
-        id: JobId,
-        /// Its current state.
-        state: JobState,
-    },
-    /// The job cannot be cancelled in its current state (only queued jobs
-    /// can).
-    NotCancellable {
-        /// The job in question.
-        id: JobId,
-        /// Its current state.
-        state: JobState,
-    },
-    /// The job's execution failed.
-    JobFailed {
-        /// The job in question.
-        id: JobId,
-        /// The failure message recorded by the worker.
-        message: String,
-    },
-    /// The job was cancelled before it could run.
-    JobCancelled(JobId),
-    /// The scheduler is draining and accepts no new submissions.
-    ShuttingDown,
+    /// A job admission or lifecycle failure raised by the server's
+    /// worker pool (queue full, unknown job, job failed, …).
+    Exec(ExecError),
     /// A client-side connect or read deadline expired before the server
     /// replied.  After a mid-request timeout the connection may hold a
     /// half-read reply and should be dropped, not reused.
@@ -77,19 +47,7 @@ impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServiceError::Io(e) => write!(f, "i/o error: {e}"),
-            ServiceError::QueueFull { capacity } => {
-                write!(f, "submission queue full ({capacity} jobs)")
-            }
-            ServiceError::UnknownJob(id) => write!(f, "unknown job {id}"),
-            ServiceError::NotFinished { id, state } => {
-                write!(f, "job {id} is not finished (currently {state})")
-            }
-            ServiceError::NotCancellable { id, state } => {
-                write!(f, "job {id} cannot be cancelled while {state}")
-            }
-            ServiceError::JobFailed { id, message } => write!(f, "job {id} failed: {message}"),
-            ServiceError::JobCancelled(id) => write!(f, "job {id} was cancelled"),
-            ServiceError::ShuttingDown => write!(f, "service is shutting down"),
+            ServiceError::Exec(e) => write!(f, "{e}"),
             ServiceError::TimedOut => write!(f, "timed out waiting for the server"),
             ServiceError::ConnectionLost => {
                 write!(f, "connection to the server was lost mid-conversation")
@@ -108,6 +66,7 @@ impl std::error::Error for ServiceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServiceError::Io(e) => Some(e),
+            ServiceError::Exec(e) => Some(e),
             ServiceError::BadSpec(e) => Some(e),
             ServiceError::BadOutcome(e) => Some(e),
             _ => None,
@@ -118,6 +77,12 @@ impl std::error::Error for ServiceError {
 impl From<std::io::Error> for ServiceError {
     fn from(e: std::io::Error) -> Self {
         ServiceError::Io(e)
+    }
+}
+
+impl From<ExecError> for ServiceError {
+    fn from(e: ExecError) -> Self {
+        ServiceError::Exec(e)
     }
 }
 
@@ -140,8 +105,9 @@ mod tests {
 
     #[test]
     fn errors_display_and_chain() {
-        let e = ServiceError::QueueFull { capacity: 8 };
+        let e: ServiceError = ExecError::QueueFull { capacity: 8 }.into();
         assert!(e.to_string().contains("8"));
+        assert!(e.source().is_some(), "pool errors chain through source()");
         let e: ServiceError = ctori_engine::RunSpec::from_text("junk").unwrap_err().into();
         assert!(e.source().is_some(), "spec errors chain through source()");
         let boxed: Box<dyn Error> = Box::new(e);

@@ -3,9 +3,9 @@
 //! A **job** is one queued [`ctori_engine::RunSpec`] execution.  The
 //! lifecycle machinery — [`JobState`], [`Priority`], the [`JobStatus`]
 //! snapshot — is shared with the engine's execution API
-//! ([`ctori_engine::exec`]): the service scheduler is a thin wrapper over
-//! the engine's [`ctori_engine::LocalExecutor`] pool, so both layers
-//! speak the exact same state machine
+//! ([`ctori_engine::exec`]): the service's server drives the engine's
+//! [`ctori_engine::LocalExecutor`] pool directly, so both layers speak
+//! the exact same state machine
 //!
 //! ```text
 //! queued ──▶ running ──▶ done
@@ -22,12 +22,12 @@ use crate::error::ServiceError;
 
 pub use ctori_engine::exec::{JobState, JobStatus, Priority};
 
-/// Identifier of a submitted job, unique within one scheduler instance.
+/// Identifier of a submitted job, unique within one server instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(u64);
 
 impl JobId {
-    /// Wraps a raw id (used by the scheduler and the wire protocol).
+    /// Wraps a raw id (used by the server and the wire protocol).
     pub(crate) fn new(raw: u64) -> Self {
         JobId(raw)
     }

@@ -8,22 +8,26 @@
 //! [`ctori_engine::RunSpec`]s with a canonical text form, which makes them
 //! natural *service payloads*: a client ships the spec text, the service
 //! schedules it, and the memoizable result is the equally text-serialisable
-//! [`ctori_engine::RunOutcome`].  Three layers compose:
+//! [`ctori_engine::RunOutcome`].  The layers compose:
 //!
-//! * [`scheduler`] — a thin wrapper over the engine's
-//!   [`ctori_engine::LocalExecutor`] worker pool (bounded priority queue,
-//!   job states `queued → running → done/failed`, cancellation, graceful
-//!   drain-on-shutdown), adding wire-protocol job ids and the result
-//!   cache;
+//! * [`server`] — a line-framed TCP front-end over `std::net` that owns
+//!   the engine's [`ctori_engine::LocalExecutor`] worker pool (bounded
+//!   priority queue, job states `queued → running → done/failed`,
+//!   cancellation, graceful drain-on-shutdown) and calls it directly for
+//!   every request, tagging the pool's ids as wire-protocol [`JobId`]s;
 //! * [`cache`] — a content-addressed result cache keyed by
-//!   [`ctori_engine::RunSpec::canonical_key`], so identical specs across
-//!   clients and sweeps return one memoized outcome; bounded with LRU
-//!   eviction and observable hit/miss/eviction counters;
-//! * [`server`] / [`client`] / [`protocol`] — a line-framed TCP front-end
-//!   over `std::net` (`SUBMIT`/`SWEEP`/`STATUS`/`RESULT`/`WATCH`/
-//!   `CANCEL`/`STATS`/`SHUTDOWN`) whose payloads are exactly the engine's
-//!   spec, outcome and event text forms, a blocking [`ServiceClient`],
-//!   and the `ctori-serve` binary;
+//!   [`ctori_engine::RunSpec::canonical_key`], plugged into the pool, so
+//!   identical specs across clients and sweeps return one memoized
+//!   outcome; bounded with LRU eviction and observable
+//!   hit/miss/eviction counters;
+//! * [`protocol`] / [`client`] — the wire verbs
+//!   (`SUBMIT`/`SWEEP`/`STATUS`/`RESULT`/`WATCH`/`CANCEL`/`STATS`/
+//!   `METRICS`/`TRACE`/`SHUTDOWN`) whose payloads are exactly the
+//!   engine's spec, outcome, event and trace text forms, a blocking
+//!   [`ServiceClient`], and the `ctori-serve` binary;
+//! * [`error`] — one error type, [`ServiceError`]; the pool's
+//!   [`ctori_engine::ExecError`]s arrive wrapped as
+//!   [`ServiceError::Exec`], each with its own wire code;
 //! * [`remote`] — [`RemoteExecutor`], the TCP backend of the engine's
 //!   backend-agnostic [`ctori_engine::Executor`] API: the same caller
 //!   code that drives the in-process pool drives a `ctori-serve`
@@ -70,7 +74,6 @@ pub mod error;
 pub mod job;
 pub mod protocol;
 pub mod remote;
-pub mod scheduler;
 pub mod server;
 pub mod stats;
 
@@ -80,6 +83,5 @@ pub use error::ServiceError;
 pub use job::{JobId, JobState, JobStatus, Priority};
 pub use protocol::{Request, Response};
 pub use remote::RemoteExecutor;
-pub use scheduler::{Scheduler, SchedulerConfig};
-pub use server::{Server, ServiceConfig};
+pub use server::{SchedulerConfig, Server, ServiceConfig};
 pub use stats::{CacheStats, ServiceStats};

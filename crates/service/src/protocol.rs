@@ -37,7 +37,7 @@
 use crate::error::ServiceError;
 use crate::job::{parse_job_state, parse_priority, JobId, JobStatus, Priority};
 use crate::stats::ServiceStats;
-use ctori_engine::exec::{events_from_text, events_to_text, RunEvent};
+use ctori_engine::exec::{events_from_text, events_to_text, ExecError, RunEvent};
 use ctori_engine::{JobTrace, MetricsSnapshot};
 use std::io::BufRead;
 
@@ -167,7 +167,7 @@ pub enum Request {
     /// Fetch the full telemetry exposition (the metrics registry in
     /// [`ctori_engine::MetricsSnapshot::to_text`] form).
     Metrics,
-    /// Fetch a job's lifecycle span ring (the
+    /// Fetch a job's lifecycle trace (the
     /// [`ctori_engine::JobTrace::to_text`] form).
     Trace {
         /// The job.
@@ -298,7 +298,7 @@ impl Request {
                 }
                 // A trailing all-whitespace segment is dropped — and so
                 // is an entirely empty payload, so `spec_texts: []` wires
-                // round-trip to `[]` and the scheduler (not a bad-spec
+                // round-trip to `[]` and the pool (not a bad-spec
                 // parse of "") reports the empty sweep.
                 if !current.trim().is_empty() {
                     spec_texts.push(current);
@@ -399,7 +399,7 @@ pub enum Response {
     Stats(ServiceStats),
     /// `METRICS` payload: the full registry exposition.
     Metrics(MetricsSnapshot),
-    /// `TRACE` payload: one job's lifecycle span ring.
+    /// `TRACE` payload: one job's lifecycle trace.
     Trace(JobTrace),
     /// `SHUTDOWN` acknowledged.
     Bye,
@@ -529,13 +529,18 @@ impl Response {
     pub fn from_error(error: &ServiceError) -> Response {
         let code = match error {
             ServiceError::Io(_) => "io",
-            ServiceError::QueueFull { .. } => "queue-full",
-            ServiceError::UnknownJob(_) => "unknown-job",
-            ServiceError::NotFinished { .. } => "not-done",
-            ServiceError::NotCancellable { .. } => "not-cancellable",
-            ServiceError::JobFailed { .. } => "job-failed",
-            ServiceError::JobCancelled(_) => "job-cancelled",
-            ServiceError::ShuttingDown => "shutting-down",
+            ServiceError::Exec(error) => match error {
+                ExecError::QueueFull { .. } => "queue-full",
+                ExecError::ShuttingDown => "shutting-down",
+                ExecError::UnknownJob => "unknown-job",
+                ExecError::NotFinished => "not-done",
+                ExecError::NotCancellable => "not-cancellable",
+                ExecError::Failed { .. } => "job-failed",
+                ExecError::Cancelled => "job-cancelled",
+                ExecError::TimedOut => "timed-out",
+                // `Backend` detail (an empty sweep) is the request's fault.
+                _ => "bad-request",
+            },
             ServiceError::TimedOut => "timed-out",
             // A lost connection is never reported *over* the connection; the
             // arm exists only to keep this match exhaustive.
@@ -603,7 +608,7 @@ mod tests {
             priority: Priority::Low,
             spec_texts: vec![spec.to_string(), spec.to_string(), spec.to_string()],
         });
-        // An empty sweep round-trips to [] (not [""]), so the scheduler
+        // An empty sweep round-trips to [] (not [""]), so the pool
         // reports "empty sweep" instead of a bad-spec parse of "".
         round_trip_request(Request::Sweep {
             priority: Priority::Normal,
@@ -723,13 +728,16 @@ mod tests {
         );
         round_trip_response(Response::Metrics(snapshot));
         round_trip_response(Response::Metrics(MetricsSnapshot::new()));
-        let mut trace = ctori_engine::JobTrace::new();
-        trace.record(ctori_engine::SpanKind::Submitted, 10);
-        trace.record(ctori_engine::SpanKind::Queued, 10);
-        trace.record(ctori_engine::SpanKind::Claimed, 40);
-        trace.record(ctori_engine::SpanKind::Running, 40);
-        trace.record(ctori_engine::SpanKind::Progress { round: 1 }, 55);
-        trace.record(ctori_engine::SpanKind::Done, 90);
+        let span = |kind, at_nanos| ctori_engine::SpanEvent { kind, at_nanos };
+        let trace = JobTrace::new(
+            vec![
+                span(ctori_engine::SpanKind::Queued, 10),
+                span(ctori_engine::SpanKind::Claimed, 40),
+                span(ctori_engine::SpanKind::Progress { round: 1 }, 55),
+                span(ctori_engine::SpanKind::Done, 90),
+            ],
+            0,
+        );
         round_trip_response(Response::Trace(trace));
         round_trip_response(Response::Bye);
         round_trip_response(Response::Error {
@@ -807,27 +815,32 @@ mod tests {
 
     #[test]
     fn error_codes_cover_the_service_errors() {
+        let failed = ExecError::Failed {
+            message: "boom".into(),
+        };
         let cases = [
+            (ExecError::QueueFull { capacity: 4 }.into(), "queue-full"),
+            (ExecError::ShuttingDown.into(), "shutting-down"),
+            (ExecError::UnknownJob.into(), "unknown-job"),
+            (ExecError::NotFinished.into(), "not-done"),
+            (ExecError::NotCancellable.into(), "not-cancellable"),
+            (failed.into(), "job-failed"),
+            (ExecError::Cancelled.into(), "job-cancelled"),
+            (ExecError::TimedOut.into(), "timed-out"),
             (
-                Response::from_error(&ServiceError::QueueFull { capacity: 4 }),
-                "queue-full",
-            ),
-            (
-                Response::from_error(&ServiceError::UnknownJob(JobId::new(1))),
-                "unknown-job",
-            ),
-            (
-                Response::from_error(&ServiceError::ShuttingDown),
-                "shutting-down",
-            ),
-            (
-                Response::from_error(&ServiceError::Protocol("x".into())),
+                ExecError::Backend("empty sweep".into()).into(),
                 "bad-request",
             ),
+            (ExecError::BackendLost("reset".into()).into(), "bad-request"),
+            (ServiceError::Protocol("x".into()), "bad-request"),
+            (ServiceError::TimedOut, "timed-out"),
         ];
-        for (response, expected) in cases {
-            match response {
-                Response::Error { code, .. } => assert_eq!(code, expected),
+        for (error, expected) in cases {
+            match Response::from_error(&error) {
+                Response::Error { code, message } => {
+                    assert_eq!(code, expected, "{error:?}");
+                    assert_eq!(message, error.to_string());
+                }
                 other => panic!("expected Error, got {other:?}"),
             }
         }

@@ -88,7 +88,7 @@ impl RemoteExecutor {
         retry_lost(&self.client, |client| client.metrics())
     }
 
-    /// A job's lifecycle span ring, fetched from the server — the
+    /// A job's lifecycle trace, fetched from the server — the
     /// remote analogue of [`ctori_engine::LocalExecutor::job_trace`].
     pub fn trace(&self, id: JobId) -> Result<JobTrace, ServiceError> {
         retry_lost(&self.client, |client| client.trace(id))
@@ -181,16 +181,10 @@ fn retry_lost<T>(
 
 /// Translates a wire-level failure into the backend-agnostic error the
 /// execution API speaks.  Remote errors lose the context a local pool
-/// has (job states, the queue bound), so the nearest variant is used.
+/// has (the queue bound), so the nearest variant is used.
 fn lower(error: ServiceError) -> ExecError {
     match error {
-        ServiceError::QueueFull { capacity } => ExecError::QueueFull { capacity },
-        ServiceError::ShuttingDown => ExecError::ShuttingDown,
-        ServiceError::UnknownJob(_) => ExecError::UnknownJob,
-        ServiceError::NotFinished { .. } => ExecError::NotFinished,
-        ServiceError::NotCancellable { .. } => ExecError::NotCancellable,
-        ServiceError::JobFailed { message, .. } => ExecError::Failed { message },
-        ServiceError::JobCancelled(_) => ExecError::Cancelled,
+        ServiceError::Exec(error) => error,
         ServiceError::TimedOut => ExecError::TimedOut,
         ServiceError::ConnectionLost => {
             ExecError::BackendLost(ServiceError::ConnectionLost.to_string())
@@ -291,5 +285,36 @@ impl JobControl for RemoteHandle {
             self.stream_closed = true;
         }
         Ok(events)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::Response;
+    use std::mem::discriminant;
+
+    #[test]
+    fn wire_codes_lower_to_the_error_the_server_raised() {
+        for raised in [
+            ExecError::QueueFull { capacity: 8 },
+            ExecError::ShuttingDown,
+            ExecError::UnknownJob,
+            ExecError::NotFinished,
+            ExecError::NotCancellable,
+            ExecError::Failed {
+                message: "boom".into(),
+            },
+            ExecError::Cancelled,
+            ExecError::TimedOut,
+        ] {
+            let Response::Error { code, message } =
+                Response::from_error(&ServiceError::Exec(raised.clone()))
+            else {
+                panic!("{raised:?} must render as an ERR reply");
+            };
+            let lowered = lower(ServiceError::Remote { code, message });
+            assert_eq!(discriminant(&lowered), discriminant(&raised), "{lowered:?}");
+        }
     }
 }

@@ -1,11 +1,13 @@
 //! The TCP front-end over `std::net`.
 //!
 //! [`Server::bind`] opens a listener (bind to port `0` for an ephemeral
-//! loopback port) and [`Server::serve`] runs the accept loop until a
-//! client issues `SHUTDOWN`.  Each connection gets a lightweight **I/O
-//! handler** thread that only parses requests and writes replies — all
-//! simulation work runs on the scheduler's persistent worker pool, so a
-//! thousand idle connections cost no simulation threads.  Handlers poll a
+//! loopback port) and starts the server's [`LocalExecutor`] worker pool,
+//! with the content-addressed result cache plugged into it;
+//! [`Server::serve`] runs the accept loop until a client issues
+//! `SHUTDOWN`.  Each connection gets a lightweight **I/O handler** thread
+//! that only parses requests, calls the pool, and writes replies — all
+//! simulation work runs on the persistent worker pool, so a thousand idle
+//! connections cost no simulation threads.  Handlers poll a
 //! shared shutdown flag on a short read timeout, and the listener itself
 //! is nonblocking and polls the same flag, which is what lets a drain
 //! initiated on one connection unblock every other one and the acceptor.
@@ -18,22 +20,22 @@
 //! input so the reply usually survives the close instead of being
 //! destroyed by an abortive reset) and closes the connection.  A sweep
 //! whose combined spec text would exceed the payload bound can always be
-//! split into several `SWEEP`/`SUBMIT` requests — the scheduler's queue
+//! split into several `SWEEP`/`SUBMIT` requests — the pool's queue
 //! bound, not the framing bound, is the admission limit.
 //!
 //! Shutdown sequence: the handler that reads `SHUTDOWN` replies `OK bye`
 //! and raises the flag; the accept loop observes it within one poll
 //! interval and exits, the remaining handlers finish their in-flight
-//! request and close, and finally the scheduler drains (every admitted
-//! job still executes) before [`Server::serve`] returns the final
-//! counters.
+//! request and close, and finally the pool drains (every admitted job
+//! still executes) before [`Server::serve`] returns the final counters.
 
+use crate::cache::SharedCache;
 use crate::error::ServiceError;
+use crate::job::JobId;
 use crate::protocol::{self, BlockLine, Request, Response};
-use crate::scheduler::{Scheduler, SchedulerConfig};
 use crate::stats::ServiceStats;
 use ctori_engine::telemetry::{monotonic_nanos, Counter, Histogram};
-use ctori_engine::Registry;
+use ctori_engine::{LocalExecutor, LocalExecutorConfig, OutcomeCache, Registry, RunSpec};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,13 +57,45 @@ pub const MAX_LINE_BYTES: usize = 1 << 20; // 1 MiB
 /// Upper bound on one request payload block (a spec or sweep text).
 pub const MAX_PAYLOAD_BYTES: usize = 8 << 20; // 8 MiB
 
+/// Sizing of a [`Server`]'s worker pool and result cache.
+#[derive(Clone, Copy, Debug)]
+pub struct SchedulerConfig {
+    /// Worker-pool size; `0` = automatic
+    /// ([`ctori_engine::default_threads`] — the same knob
+    /// [`ctori_engine::EngineOptions::threads`] resolves through).
+    pub workers: usize,
+    /// Bound on the number of *queued* jobs; submissions beyond it are
+    /// rejected with [`ctori_engine::ExecError::QueueFull`].
+    pub queue_capacity: usize,
+    /// Capacity of the content-addressed result cache (`0` disables it).
+    pub cache_capacity: usize,
+    /// How many **terminal** job records (done/failed/cancelled) to keep
+    /// for `STATUS`/`RESULT`/`WATCH` queries.  Beyond the bound the
+    /// oldest terminal records are forgotten — their ids then report
+    /// [`ctori_engine::ExecError::UnknownJob`] — which is what keeps a
+    /// long-running server's memory bounded no matter how many jobs it
+    /// has served.
+    pub retain_jobs: usize,
+}
+
+impl Default for SchedulerConfig {
+    fn default() -> Self {
+        SchedulerConfig {
+            workers: 0,
+            queue_capacity: 1024,
+            cache_capacity: 256,
+            retain_jobs: 4096,
+        }
+    }
+}
+
 /// Configuration of a [`Server`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// The listen address.  CI and tests stay on the loopback interface;
     /// `127.0.0.1:0` (the default) picks an ephemeral port.
     pub addr: String,
-    /// Scheduler sizing (worker pool, queue bound, cache capacity).
+    /// Pool and cache sizing (worker pool, queue bound, cache capacity).
     pub scheduler: SchedulerConfig,
 }
 
@@ -74,8 +108,8 @@ impl Default for ServiceConfig {
     }
 }
 
-/// The wire-layer instruments, pre-registered into the scheduler's
-/// registry at bind time so the per-request path never takes the
+/// The wire-layer instruments, pre-registered into the pool's registry
+/// at bind time so the per-request path never takes the
 /// registry's map lock.  Everything lands in the same exposition the
 /// `METRICS` verb serves.
 struct WireMetrics {
@@ -129,20 +163,43 @@ impl WireMetrics {
 /// A bound, not-yet-serving simulation server.
 pub struct Server {
     listener: TcpListener,
-    scheduler: Scheduler,
-    shutdown: Arc<AtomicBool>,
+    /// The worker pool every request runs against.
+    pool: LocalExecutor,
+    /// The result cache plugged into the pool, kept for its STATS
+    /// counters.
+    cache: Arc<SharedCache>,
+    /// Monotonic start instant, for the STATS uptime report.
+    started_nanos: u64,
+    shutdown: AtomicBool,
     metrics: WireMetrics,
 }
 
 impl Server {
-    /// Binds the listener and starts the scheduler's worker pool.
+    /// Binds the listener and starts the worker pool.
     pub fn bind(config: ServiceConfig) -> std::io::Result<Server> {
-        let scheduler = Scheduler::start(config.scheduler);
-        let metrics = WireMetrics::register(&scheduler.telemetry());
+        let sizing = config.scheduler;
+        let cache = Arc::new(SharedCache::new(sizing.cache_capacity));
+        // With the cache disabled, hand the pool no cache at all: the
+        // pool then skips canonical-key hashing at submission and the
+        // guaranteed-miss probe per job.  The SharedCache value is kept
+        // only so STATS reports zeroed counters with capacity 0.
+        let pool_cache =
+            (sizing.cache_capacity > 0).then(|| Arc::clone(&cache) as Arc<dyn OutcomeCache>);
+        let pool = LocalExecutor::start_with_cache(
+            LocalExecutorConfig {
+                workers: sizing.workers,
+                queue_capacity: sizing.queue_capacity,
+                retain_jobs: sizing.retain_jobs,
+            },
+            pool_cache,
+        );
+        let metrics = WireMetrics::register(&pool.telemetry());
         Ok(Server {
             listener: TcpListener::bind(&config.addr)?,
-            scheduler,
-            shutdown: Arc::new(AtomicBool::new(false)),
+            pool,
+            cache,
+            started_nanos: monotonic_nanos(),
+            shutdown: AtomicBool::new(false),
             metrics,
         })
     }
@@ -153,7 +210,7 @@ impl Server {
     }
 
     /// Serves connections until a client issues `SHUTDOWN`, then drains
-    /// the scheduler and returns the final counters.
+    /// the pool and returns the final counters.
     pub fn serve(self) -> std::io::Result<ServiceStats> {
         // A nonblocking listener lets the accept loop poll the shutdown
         // flag directly, so a drain raised on any connection is observed
@@ -169,14 +226,13 @@ impl Server {
                         if stream.set_nonblocking(false).is_err() {
                             continue;
                         }
-                        let scheduler = &self.scheduler;
-                        let shutdown = &self.shutdown;
-                        let metrics = &self.metrics;
+                        let server = &self;
                         scope.spawn(move || {
-                            metrics.connections.inc();
+                            server.metrics.connections.inc();
                             let opened = monotonic_nanos();
-                            handle_connection(stream, scheduler, shutdown, metrics);
-                            metrics
+                            handle_connection(stream, server);
+                            server
+                                .metrics
                                 .connection_lifetime_ms
                                 .record(monotonic_nanos().saturating_sub(opened) / 1_000_000);
                         });
@@ -188,8 +244,25 @@ impl Server {
                 }
             }
         });
-        self.scheduler.shutdown();
-        Ok(self.scheduler.stats())
+        self.pool.shutdown();
+        Ok(self.stats())
+    }
+
+    /// The `STATS` snapshot: pool counters, cache counters and uptime.
+    fn stats(&self) -> ServiceStats {
+        let pool = self.pool.stats();
+        ServiceStats {
+            workers: pool.workers,
+            queued: pool.queued,
+            running: pool.running,
+            done: pool.done,
+            failed: pool.failed,
+            cancelled: pool.cancelled,
+            jobs_submitted: pool.submitted,
+            queue_depth_hwm: pool.queued_hwm,
+            uptime_seconds: monotonic_nanos().saturating_sub(self.started_nanos) / 1_000_000_000,
+            cache: self.cache.stats(),
+        }
     }
 }
 
@@ -318,12 +391,8 @@ fn reply_bad_request(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, 
 }
 
 /// One connection's request/reply loop.
-fn handle_connection(
-    stream: TcpStream,
-    scheduler: &Scheduler,
-    shutdown: &AtomicBool,
-    metrics: &WireMetrics,
-) {
+fn handle_connection(stream: TcpStream, server: &Server) {
+    let (shutdown, metrics) = (&server.shutdown, &server.metrics);
     // The timeout is only a poll interval for the shutdown flag; requests
     // themselves can sit idle indefinitely.
     if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
@@ -340,7 +409,7 @@ fn handle_connection(
         // Checked before every request, not just on idle timeouts: a
         // connection kept busy by a fast client must still close once a
         // drain begins, or serve() would never get past its handler join
-        // and the scheduler would keep admitting work after SHUTDOWN.
+        // and the pool would keep admitting work after SHUTDOWN.
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
@@ -376,7 +445,9 @@ fn handle_connection(
                 if let Some(counter) = metrics.verb_counter(request.verb()) {
                     counter.inc();
                 }
-                dispatch(request, scheduler, shutdown)
+                let bye = request == Request::Shutdown;
+                let response = dispatch(request, server);
+                (response.unwrap_or_else(|e| Response::from_error(&e)), bye)
             }
             Err(error) => (Response::from_error(&error), false),
         };
@@ -391,55 +462,53 @@ fn handle_connection(
     }
 }
 
-/// Executes one request against the scheduler.  The bool asks the caller
-/// to close the connection after replying.
-fn dispatch(request: Request, scheduler: &Scheduler, shutdown: &AtomicBool) -> (Response, bool) {
-    let response = match request {
+/// Executes one request against the pool.
+fn dispatch(request: Request, server: &Server) -> Result<Response, ServiceError> {
+    let pool = &server.pool;
+    // Specs are validated inside `RunSpec::from_text`, so an admitted
+    // job can never panic the engine on shape errors.
+    Ok(match request {
         Request::Submit {
             priority,
             spec_text,
-        } => parse_spec(&spec_text)
-            .and_then(|spec| scheduler.submit(spec, priority))
-            .map(Response::Job),
+        } => Response::Job(JobId::new(
+            pool.enqueue(RunSpec::from_text(&spec_text)?, priority)?,
+        )),
         Request::Sweep {
             priority,
             spec_texts,
-        } => spec_texts
-            .iter()
-            .map(|text| parse_spec(text))
-            .collect::<Result<Vec<_>, _>>()
-            .and_then(|specs| scheduler.submit_sweep(specs, priority))
-            .map(Response::Jobs),
-        Request::Status { id } => scheduler.status(id).map(Response::Status),
-        Request::Result { id, wait } => if wait {
-            scheduler.wait_shared(id, None)
-        } else {
-            scheduler.outcome_shared(id)
+        } => {
+            let specs = spec_texts
+                .iter()
+                .map(|text| RunSpec::from_text(text))
+                .collect::<Result<_, _>>()?;
+            let ids = pool.enqueue_batch(specs, priority)?;
+            Response::Jobs(ids.into_iter().map(JobId::new).collect())
         }
-        .map(|outcome| Response::Result(outcome.to_text())),
-        Request::Watch { id, since } => scheduler.events_since(id, since).map(Response::Events),
-        Request::Cancel { id } => scheduler.cancel(id).map(|()| Response::Cancelled),
-        Request::Stats => Ok(Response::Stats(scheduler.stats())),
-        Request::Metrics => Ok(Response::Metrics(scheduler.telemetry().snapshot())),
-        Request::Trace { id } => scheduler.trace(id).map(Response::Trace),
+        Request::Status { id } => Response::Status(pool.job_status(id.as_u64())?),
+        Request::Result { id, wait } => Response::Result(
+            if wait {
+                pool.wait_job(id.as_u64(), None)?
+            } else {
+                pool.job_outcome(id.as_u64())?
+            }
+            .to_text(),
+        ),
+        Request::Watch { id, since } => Response::Events(pool.events_since(id.as_u64(), since)?),
+        Request::Cancel { id } => {
+            pool.cancel_job(id.as_u64())?;
+            Response::Cancelled
+        }
+        Request::Stats => Response::Stats(server.stats()),
+        Request::Metrics => Response::Metrics(pool.telemetry().snapshot()),
+        Request::Trace { id } => Response::Trace(pool.job_trace(id.as_u64())?),
         Request::Shutdown => {
-            shutdown.store(true, Ordering::SeqCst);
             // The nonblocking accept loop observes the flag within one
             // poll interval; no further nudge is needed.
-            return (Response::Bye, true);
+            server.shutdown.store(true, Ordering::SeqCst);
+            Response::Bye
         }
-    };
-    match response {
-        Ok(response) => (response, false),
-        Err(error) => (Response::from_error(&error), false),
-    }
-}
-
-/// Parses and validates a spec payload (validation happens inside
-/// `RunSpec::from_text`, so an admitted job can never panic the engine on
-/// shape errors).
-fn parse_spec(text: &str) -> Result<ctori_engine::RunSpec, ServiceError> {
-    Ok(ctori_engine::RunSpec::from_text(text)?)
+    })
 }
 
 #[cfg(test)]

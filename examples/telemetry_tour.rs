@@ -1,6 +1,6 @@
 //! A tour of the telemetry layer over the wire: run a job, then pull
 //! the server's full metrics exposition (`METRICS`) and the job's
-//! lifecycle span ring (`TRACE <id>`) through [`ServiceClient`].
+//! lifecycle trace (`TRACE <id>`) through [`ServiceClient`].
 //!
 //! By default the example embeds the whole service in-process on an
 //! ephemeral port and shuts it down at the end.  When `CTORI_SERVE_ADDR`
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         outcome.termination, outcome.rounds
     );
 
-    // TRACE <id>: the job's span ring, one monotone timestamp per
+    // TRACE <id>: the job's trace, one monotone timestamp per
     // lifecycle edge plus sampled per-round progress.
     let trace = client.trace(id)?;
     assert!(trace.is_monotone(), "span timestamps must be monotone");

@@ -14,7 +14,7 @@
 //! | [`engine`]    | `ctori-engine`    | synchronous simulator, the declarative `RunSpec`/`Runner`/`Observer` API, the `Executor`/`JobHandle` surface with its local worker pool, traces, parallel sweeps |
 //! | [`dynamo`]    | `ctori-core`      | blocks, dynamos, bounds, constructions, round formulas, search, figures |
 //! | [`tss`]       | `ctori-tss`       | target set selection on general graphs, random graph generators |
-//! | [`service`]   | `ctori-service`   | batch simulation service: job scheduler, spec-hash result cache, TCP front-end, the remote `Executor` backend |
+//! | [`service`]   | `ctori-service`   | batch simulation service: TCP front-end over the engine's worker pool, spec-hash result cache, the remote `Executor` backend |
 //! | [`fleet`]     | `ctori-fleet`     | sharded multi-backend coordinator: consistent-hash routing, health probes, sweep work stealing, fleet-wide stats |
 //! | [`analysis`]  | `ctori-analysis`  | the per-figure / per-theorem experiment harness |
 //!
