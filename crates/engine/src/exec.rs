@@ -660,6 +660,40 @@ impl std::fmt::Debug for JobHandle {
     }
 }
 
+/// The end of a bounded wait, for the timed `wait` of every backend.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Deadline(Option<Instant>);
+
+impl Deadline {
+    /// `timeout` from now.  No timeout is no bound, and so is one too
+    /// large to be an instant (a wire request may ask for any number of
+    /// milliseconds).
+    // Deliberate timing code: wait bounds are wall-clock windows.
+    #[allow(clippy::disallowed_methods)]
+    pub fn after(timeout: Option<Duration>) -> Deadline {
+        Deadline(timeout.and_then(|timeout| Instant::now().checked_add(timeout)))
+    }
+
+    /// What is left until the deadline (zero once it has passed), capped
+    /// at `cap`; `None` when neither bounds the wait.
+    // Deliberate timing code: wait bounds are wall-clock windows.
+    #[allow(clippy::disallowed_methods)]
+    pub fn left_within(self, cap: Option<Duration>) -> Option<Duration> {
+        let left = self
+            .0
+            .map(|at| at.saturating_duration_since(Instant::now()));
+        match (left, cap) {
+            (Some(left), Some(cap)) => Some(left.min(cap)),
+            (left, cap) => left.or(cap),
+        }
+    }
+
+    /// Whether the deadline exists and has passed.
+    pub fn passed(self) -> bool {
+        self.left_within(None).is_some_and(|left| left.is_zero())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Outcome cache hook
 // ---------------------------------------------------------------------------
@@ -1297,14 +1331,12 @@ fn enqueue_locked(
 /// Blocks until the job reaches a terminal state (shared by
 /// [`LocalExecutor::wait_job`] and the handle's `wait`, which may
 /// outlive the executor value and therefore works over `&Shared`).
-// Deliberate timing code: wall-clock deadlines for `wait_timeout`.
-#[allow(clippy::disallowed_methods)]
 fn wait_on(
     shared: &Shared,
     id: u64,
     timeout: Option<Duration>,
 ) -> Result<Arc<RunOutcome>, ExecError> {
-    let deadline = timeout.map(|t| Instant::now() + t);
+    let deadline = Deadline::after(timeout);
     let mut state = shared.state.lock().expect("pool poisoned");
     loop {
         match state.jobs.get(&id) {
@@ -1314,16 +1346,13 @@ fn wait_on(
             }
             Some(_) => {}
         }
-        state = match deadline {
+        state = match deadline.left_within(None) {
             None => shared.job_done.wait(state).expect("pool poisoned"),
-            Some(deadline) => {
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(ExecError::NotFinished);
-                }
+            Some(left) if left.is_zero() => return Err(ExecError::NotFinished),
+            Some(left) => {
                 shared
                     .job_done
-                    .wait_timeout(state, deadline - now)
+                    .wait_timeout(state, left)
                     .expect("pool poisoned")
                     .0
             }

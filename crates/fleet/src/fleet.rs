@@ -8,17 +8,14 @@
 
 use crate::ring::HashRing;
 use ctori_engine::exec::{
-    ExecError, Executor, JobControl, JobHandle, JobStatus, RunEvent, SubmitOptions,
+    Deadline, ExecError, Executor, JobControl, JobHandle, JobStatus, RunEvent, SubmitOptions,
 };
 use ctori_engine::telemetry::MetricValue;
 use ctori_engine::{MetricsSnapshot, RunOutcome, RunSpec};
 use ctori_service::{RemoteExecutor, ServiceClient, ServiceError, ServiceStats};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// How often a fleet handle re-probes its backend while waiting.
-const FLEET_POLL: Duration = Duration::from_millis(10);
 
 /// Static description of the fleet: where the backends are and how
 /// aggressively to probe, evict, and steal.
@@ -39,11 +36,12 @@ pub struct FleetConfig {
     pub steal_patience: Duration,
     /// Connect deadline for the initial dial of each backend.
     pub connect_timeout: Duration,
-    /// Read deadline on every backend round trip.  Fleet handles only
-    /// ever issue quick non-blocking verbs (`try_result`, not
-    /// server-side `RESULT wait`), so a reply that out-waits this is a
-    /// wedged or draining backend — the deadline is what turns such a
-    /// zombie into a routable [`ExecError::TimedOut`] instead of a hang.
+    /// Read deadline on every backend round trip.  A handle's wait is
+    /// cut into server-side waits (`RESULT <id> wait=<ms>`) of at most
+    /// half this deadline, so a live backend always replies inside it,
+    /// and a reply that out-waits it is a wedged or draining backend —
+    /// the deadline is what turns such a zombie into a routable
+    /// [`ExecError::TimedOut`] instead of a hang.
     pub request_timeout: Duration,
 }
 
@@ -120,7 +118,9 @@ impl Counters {
 struct Shared {
     members: Mutex<Members>,
     counters: Counters,
-    stop: AtomicBool,
+    /// Raised (and `stopping` notified) to end the probe thread.
+    stop: Mutex<bool>,
+    stopping: Condvar,
     config: FleetConfig,
 }
 
@@ -240,7 +240,8 @@ impl FleetExecutor {
         let shared = Arc::new(Shared {
             members: Mutex::new(members),
             counters: Counters::new(backends),
-            stop: AtomicBool::new(false),
+            stop: Mutex::new(false),
+            stopping: Condvar::new(),
             config,
         });
         let probe = spawn_probe(Arc::clone(&shared));
@@ -463,7 +464,9 @@ impl Executor for FleetExecutor {
 
 impl FleetExecutor {
     fn stop_probe(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        *self.shared.stop.lock().expect("fleet stop poisoned") = true;
+        // Ends the prober's pause at once.
+        self.shared.stopping.notify_all();
         let handle = {
             let mut probe = self.probe.lock().expect("fleet probe poisoned");
             probe.take()
@@ -491,12 +494,20 @@ fn spawn_probe(shared: Arc<Shared>) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || probe_loop(&shared))
 }
 
+/// Probes every backend once per `probe_interval`.  The pause between
+/// rounds waits on the stop flag's condition variable, so a drain ends
+/// it at once instead of waiting it out.
 fn probe_loop(shared: &Shared) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        std::thread::sleep(shared.config.probe_interval);
-        if shared.stop.load(Ordering::SeqCst) {
+    loop {
+        let stop = shared.stop.lock().expect("fleet stop poisoned");
+        let (stop, _) = shared
+            .stopping
+            .wait_timeout_while(stop, shared.config.probe_interval, |stop| !*stop)
+            .expect("fleet stop poisoned");
+        if *stop {
             return;
         }
+        drop(stop);
         let targets: Vec<(usize, String)> = {
             let members = shared.members.lock().expect("fleet members poisoned");
             members
@@ -706,6 +717,19 @@ impl FleetJob {
             other => other,
         }
     }
+
+    /// How long the next server-side wait may last: what is left until
+    /// `deadline` and, for a sweep handle, of its steal patience, so the
+    /// steal check runs between slices.  Single-job handles never steal
+    /// and never restart the patience clock, so they take no patience
+    /// cap (it would shrink to a zero-length loop).
+    fn slice(&self, deadline: Deadline) -> Option<Duration> {
+        let patience = self.tracker.as_ref().map(|_| {
+            let waited = self.dispatched.elapsed();
+            self.shared.config.steal_patience.saturating_sub(waited)
+        });
+        deadline.left_within(patience)
+    }
 }
 
 impl JobControl for FleetJob {
@@ -723,12 +747,24 @@ impl JobControl for FleetJob {
         }
     }
 
-    // Deliberate timing code: the bounded wait polls against a deadline.
-    #[allow(clippy::disallowed_methods)]
     fn wait(&mut self, timeout: Option<Duration>) -> Result<Arc<RunOutcome>, ExecError> {
-        let deadline = timeout.map(|t| Instant::now() + t);
+        let deadline = Deadline::after(timeout);
         loop {
-            match self.probe_outcome() {
+            // Server-side waits, which the backend's handle cuts further
+            // to fit the fleet's request timeout.
+            let waited = match self.slice(deadline) {
+                None => self.inner.wait(),
+                Some(slice) => self.inner.wait_timeout(slice),
+            };
+            let waited = match waited {
+                Err(ExecError::NotFinished) => Ok(None),
+                // The backend is gone: wait on the job's new owner next.
+                Err(ExecError::BackendLost(_) | ExecError::TimedOut) => {
+                    self.reroute().map(|()| None)
+                }
+                other => other.map(Some),
+            };
+            match waited {
                 Ok(Some(outcome)) => {
                     self.mark_done();
                     return Ok(outcome);
@@ -739,13 +775,10 @@ impl JobControl for FleetJob {
                     return Err(terminal);
                 }
             }
-            if let Some(deadline) = deadline {
-                if Instant::now() >= deadline {
-                    return Err(ExecError::NotFinished);
-                }
+            if deadline.passed() {
+                return Err(ExecError::NotFinished);
             }
             self.maybe_steal();
-            std::thread::sleep(FLEET_POLL);
         }
     }
 

@@ -25,6 +25,11 @@
 //!   and handles that out-wait the configured patience re-dispatch
 //!   their spec to a backend that has finished its own share.
 //!
+//! A handle's `wait` never sleeps on a timer: it is a series of
+//! server-side waits (`RESULT <id> wait=<ms>`), each at most half the
+//! request timeout and, for a sweep handle, at most the rest of its
+//! steal patience, so reroute and steal checks run between them.
+//!
 //! ```no_run
 //! use ctori_engine::{Executor, RunSpec, SubmitOptions};
 //! use ctori_fleet::{FleetConfig, FleetExecutor};

@@ -10,12 +10,22 @@
 //!   reroutes.
 //! - **Work stealing**: a sweep job queued behind a long run on a busy
 //!   backend is re-dispatched to an idle one.
+//! - **Waits without polling**: a waiting handle lets the backend hold
+//!   its reply, so a long wait costs about one request per slice of the
+//!   wait, not one per tick (counted through the backend's
+//!   `server.requests.<VERB>` metrics), and bounded waits still time
+//!   out on every backend.
 
 use ctori_coloring::Color;
-use ctori_engine::{Executor, RuleSpec, RunSpec, Runner, SeedSpec, SubmitOptions, TopologySpec};
+use ctori_engine::{
+    ExecError, Executor, LocalExecutor, LocalExecutorConfig, RuleSpec, RunSpec, Runner, SeedSpec,
+    SubmitOptions, TopologySpec,
+};
 use ctori_fleet::{FleetConfig, FleetExecutor};
-use ctori_service::{SchedulerConfig, Server, ServiceClient, ServiceConfig, ServiceStats};
-use std::time::Duration;
+use ctori_service::{
+    RemoteExecutor, SchedulerConfig, Server, ServiceClient, ServiceConfig, ServiceStats,
+};
+use std::time::{Duration, Instant};
 
 type ServerHandle = std::thread::JoinHandle<std::io::Result<ServiceStats>>;
 
@@ -215,4 +225,130 @@ fn a_lagging_backend_is_stolen_from() {
             .expect("shutdown");
         server.join().expect("server thread").expect("serve");
     }
+}
+
+/// How many requests of `verb` a backend has served so far.
+fn served(addr: &str, verb: &str) -> u64 {
+    let mut client = ServiceClient::connect(addr).expect("connect for metrics");
+    let metrics = client.metrics().expect("metrics");
+    metrics
+        .counter(&format!("server.requests.{verb}"))
+        .expect("per-verb counter")
+}
+
+fn stop(addr: &str, server: ServerHandle) {
+    ServiceClient::connect(addr)
+        .expect("connect for shutdown")
+        .shutdown()
+        .expect("shutdown");
+    server.join().expect("server thread").expect("serve");
+}
+
+#[test]
+fn a_fleet_drops_without_waiting_out_its_probe_interval() {
+    let (addr, server) = start_server(1);
+    let mut config = FleetConfig::new([addr.clone()]);
+    config.probe_interval = Duration::from_secs(30);
+    let fleet = FleetExecutor::connect(config).expect("fleet");
+    // Let the prober start and enter its first 30 s pause (a prober
+    // that has not started yet would see the stop before pausing).
+    std::thread::sleep(Duration::from_millis(100));
+    // Dropping joins the prober, which must wake from its pause at once.
+    #[allow(clippy::disallowed_methods)]
+    let started = Instant::now();
+    drop(fleet);
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(2), "drop took {took:?}");
+    stop(&addr, server);
+}
+
+/// Asserts that a wait of `elapsed` sent few enough RESULT requests to
+/// be held ones: one per `slice` it lasted, plus two for the partial
+/// slices at its ends.  A wait that polled every 10 ms fails this.
+fn assert_held(results: u64, elapsed: Duration, slice: Duration) {
+    let bound = (elapsed.as_secs_f64() / slice.as_secs_f64()) as u64 + 2;
+    assert!(
+        results <= bound,
+        "{results} RESULT requests for a {elapsed:?} wait (at most {bound})"
+    );
+}
+
+#[test]
+fn a_fleet_wait_is_a_few_held_results_not_a_poll_per_tick() {
+    let (addr, server) = start_server(1);
+    let config = FleetConfig::new([addr.clone()]);
+    // Each RESULT is held server-side for up to half the request timeout.
+    let slice = config.request_timeout / 2;
+    let fleet = FleetExecutor::connect(config).expect("fleet");
+    let spec = slow_spec(512);
+    let mut handle = fleet
+        .submit(&spec, SubmitOptions::default())
+        .expect("submit");
+    let before = served(&addr, "RESULT");
+    #[allow(clippy::disallowed_methods)]
+    let started = Instant::now();
+    let outcome = handle.wait().expect("job finishes");
+    let elapsed = started.elapsed();
+    assert_held(served(&addr, "RESULT") - before, elapsed, slice);
+    assert_eq!(*outcome, Runner::with_threads(1).execute(&spec));
+    drop(fleet);
+    stop(&addr, server);
+}
+
+#[test]
+fn a_remote_bounded_wait_is_a_few_held_results() {
+    let (addr, server) = start_server(1);
+    let remote = RemoteExecutor::connect(addr.as_str()).expect("connect");
+    let spec = slow_spec(512);
+    let mut handle = remote
+        .submit(&spec, SubmitOptions::default())
+        .expect("submit");
+    let before = served(&addr, "RESULT");
+    #[allow(clippy::disallowed_methods)]
+    let started = Instant::now();
+    let outcome = handle
+        .wait_timeout(Duration::from_secs(5))
+        .expect("job finishes inside 5 s");
+    let elapsed = started.elapsed();
+    // A client without a read timeout holds each RESULT up to 1 s.
+    assert_held(
+        served(&addr, "RESULT") - before,
+        elapsed,
+        Duration::from_secs(1),
+    );
+    assert_eq!(*outcome, Runner::with_threads(1).execute(&spec));
+    drop(remote);
+    stop(&addr, server);
+}
+
+#[test]
+fn bounded_waits_time_out_then_finish_on_every_backend() {
+    let (addr, server) = start_server(1);
+    let spec = slow_spec(512);
+    let reference = Runner::with_threads(1).execute(&spec);
+    let local = LocalExecutor::start(LocalExecutorConfig {
+        workers: 1,
+        ..LocalExecutorConfig::default()
+    });
+    let remote = RemoteExecutor::connect(addr.as_str()).expect("connect");
+    // Its own backend, so its job is not a cache hit on the first one.
+    let (fleet_addr, fleet_server) = start_server(1);
+    let fleet = FleetExecutor::connect(FleetConfig::new([fleet_addr.clone()])).expect("fleet");
+    let backends: [(&str, &dyn Executor); 3] =
+        [("local", &local), ("remote", &remote), ("fleet", &fleet)];
+    for (name, executor) in backends {
+        let mut handle = executor
+            .submit(&spec, SubmitOptions::default())
+            .expect("submit");
+        match handle.wait_timeout(Duration::from_millis(50)) {
+            Err(ExecError::NotFinished) => {}
+            other => panic!("{name}: expected NotFinished, got {other:?}"),
+        }
+        assert_eq!(*handle.wait().expect("job finishes"), reference, "{name}");
+    }
+    local.shutdown();
+    drop(remote);
+    drop(fleet);
+    stop(&addr, server);
+    stop(&fleet_addr, fleet_server);
 }

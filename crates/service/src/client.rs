@@ -30,7 +30,7 @@
 
 use crate::error::ServiceError;
 use crate::job::{JobId, JobStatus, Priority};
-use crate::protocol::{self, Request, Response};
+use crate::protocol::{self, Request, Response, Wait};
 use crate::stats::ServiceStats;
 use ctori_engine::exec::RunEvent;
 use ctori_engine::{JobTrace, MetricsSnapshot, RunOutcome, RunSpec};
@@ -121,6 +121,12 @@ impl ServiceClient {
         Ok(())
     }
 
+    /// The configured reply-read cap (`None`: reads block without
+    /// bound).  A server-side wait must end well inside it.
+    pub fn read_timeout(&self) -> Option<Duration> {
+        self.read_timeout
+    }
+
     /// Submits one spec at [`Priority::Normal`].
     pub fn submit(&mut self, spec: &RunSpec) -> Result<JobId, ServiceError> {
         self.submit_with_priority(spec, Priority::Normal)
@@ -173,17 +179,24 @@ impl ServiceClient {
     /// Blocks (server-side) until the job terminates and returns its
     /// outcome.
     pub fn result(&mut self, id: JobId) -> Result<RunOutcome, ServiceError> {
-        self.fetch_result(id, true)
+        self.fetch_result(id, Wait::Unbounded)
     }
 
     /// Non-blocking result probe: `Ok(None)` while the job is still
     /// queued or running.
     pub fn try_result(&mut self, id: JobId) -> Result<Option<RunOutcome>, ServiceError> {
-        match self.fetch_result(id, false) {
-            Ok(outcome) => Ok(Some(outcome)),
-            Err(ServiceError::Remote { code, .. }) if code == "not-done" => Ok(None),
-            Err(other) => Err(other),
-        }
+        pending_as_none(self.fetch_result(id, Wait::No))
+    }
+
+    /// Blocks (server-side) at most `bound`, rounded up to whole
+    /// milliseconds, for the job to terminate: `Ok(None)` if it is still
+    /// queued or running then (`RESULT <id> wait=<ms>`).
+    pub fn result_within(
+        &mut self,
+        id: JobId,
+        bound: Duration,
+    ) -> Result<Option<RunOutcome>, ServiceError> {
+        pending_as_none(self.fetch_result(id, Wait::Millis(ceil_millis(bound))))
     }
 
     /// Polls a job's buffered progress events: everything with
@@ -254,7 +267,7 @@ impl ServiceClient {
         }
     }
 
-    fn fetch_result(&mut self, id: JobId, wait: bool) -> Result<RunOutcome, ServiceError> {
+    fn fetch_result(&mut self, id: JobId, wait: Wait) -> Result<RunOutcome, ServiceError> {
         match self.roundtrip(&Request::Result { id, wait })? {
             Response::Result(text) => Ok(RunOutcome::from_text(&text)?),
             other => Err(unexpected(other)),
@@ -288,6 +301,22 @@ impl ServiceClient {
 
 fn unexpected(response: Response) -> ServiceError {
     ServiceError::Protocol(format!("unexpected reply {response:?}"))
+}
+
+/// Maps the server's `ERR not-done` to `Ok(None)`.
+fn pending_as_none(
+    result: Result<RunOutcome, ServiceError>,
+) -> Result<Option<RunOutcome>, ServiceError> {
+    match result {
+        Ok(outcome) => Ok(Some(outcome)),
+        Err(ServiceError::Remote { code, .. }) if code == "not-done" => Ok(None),
+        Err(other) => Err(other),
+    }
+}
+
+/// A wire `wait=<ms>` bound that is never shorter than `bound`.
+fn ceil_millis(bound: Duration) -> u64 {
+    u64::try_from(bound.as_nanos().div_ceil(1_000_000)).unwrap_or(u64::MAX)
 }
 
 fn is_timeout(e: &std::io::Error) -> bool {

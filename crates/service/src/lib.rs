@@ -81,7 +81,7 @@ pub use cache::ResultCache;
 pub use client::ServiceClient;
 pub use error::ServiceError;
 pub use job::{JobId, JobState, JobStatus, Priority};
-pub use protocol::{Request, Response};
+pub use protocol::{Request, Response, Wait};
 pub use remote::RemoteExecutor;
 pub use server::{SchedulerConfig, Server, ServiceConfig};
 pub use stats::{CacheStats, ServiceStats};

@@ -12,7 +12,7 @@
 //! | `SUBMIT [priority=P]` | one spec | `OK job <id>` |
 //! | `SWEEP [priority=P]` | specs separated by `--` lines | `OK jobs <id>…` |
 //! | `STATUS <id>` | — | `OK status <state> [cached]` |
-//! | `RESULT <id> [wait]` | — | `OK result` + outcome block |
+//! | `RESULT <id> [wait \| wait=<ms>]` | — | `OK result` + outcome block |
 //! | `WATCH <id> [since-round]` | — | `OK events` + event block |
 //! | `CANCEL <id>` | — | `OK cancelled` |
 //! | `STATS` | — | `OK stats` + stats block |
@@ -27,6 +27,13 @@
 //! event once one exists.  A client repeats `WATCH <id> <last-seen-round>`
 //! until a terminal event arrives; progress rounds are strictly
 //! increasing across the polls.
+//!
+//! `RESULT`'s trailing flag makes it a **long poll** (RFC 6202): the
+//! server holds the reply until the job is terminal, so a waiting
+//! client sends one request per outcome instead of one per timer tick.
+//! `RESULT <id> wait` holds it without bound, and `RESULT <id>
+//! wait=<ms>` at most `<ms>` milliseconds, replying `ERR not-done` if
+//! the job is still pending then.  Without the flag it answers at once.
 //!
 //! Failures reply `ERR <code> <message>` on one line (e.g. `queue-full`,
 //! `unknown-job`, `not-done`, `job-failed`, `bad-spec`, `bad-request`).
@@ -119,6 +126,46 @@ pub fn read_block(reader: &mut impl BufRead) -> Result<String, ServiceError> {
 // Requests
 // ---------------------------------------------------------------------------
 
+/// How long a `RESULT` request lets the server hold its reply: the
+/// optional trailing `wait` / `wait=<ms>` flag.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Wait {
+    /// No flag: reply at once.
+    No,
+    /// `wait`: hold the reply until the job is terminal.
+    Unbounded,
+    /// `wait=<ms>`: hold the reply at most this many milliseconds.
+    Millis(u64),
+}
+
+impl Wait {
+    /// The flag as a header suffix: empty, ` wait` or ` wait=<ms>`.
+    fn suffix(self) -> String {
+        match self {
+            Wait::No => String::new(),
+            Wait::Unbounded => " wait".into(),
+            Wait::Millis(ms) => format!(" wait={ms}"),
+        }
+    }
+
+    /// Parses a flag token.
+    fn parse(token: &str) -> Result<Wait, ServiceError> {
+        if token == "wait" {
+            return Ok(Wait::Unbounded);
+        }
+        // Digits only: `u64::from_str` would also take a leading `+`.
+        match token.strip_prefix("wait=") {
+            Some(ms) if !ms.is_empty() && ms.bytes().all(|b| b.is_ascii_digit()) => ms
+                .parse()
+                .map(Wait::Millis)
+                .map_err(|_| ServiceError::Protocol(format!("wait bound {ms:?} overflows"))),
+            _ => Err(ServiceError::Protocol(format!(
+                "unknown RESULT flag {token:?}"
+            ))),
+        }
+    }
+}
+
 /// A client request, as structured data.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
@@ -142,12 +189,13 @@ pub enum Request {
         /// The job.
         id: JobId,
     },
-    /// Fetch a job's outcome; with `wait`, block until it is terminal.
+    /// Fetch a job's outcome, holding the reply while it is pending as
+    /// `wait` allows.
     Result {
         /// The job.
         id: JobId,
-        /// Whether to block server-side until the job terminates.
-        wait: bool,
+        /// How long the server may hold the reply for the job to end.
+        wait: Wait,
     },
     /// Poll a job's buffered progress events.
     Watch {
@@ -205,13 +253,7 @@ impl Request {
                 format!("SWEEP priority={priority}\n{}", encode_block(&payload))
             }
             Request::Status { id } => format!("STATUS {id}\n"),
-            Request::Result { id, wait } => {
-                if *wait {
-                    format!("RESULT {id} wait\n")
-                } else {
-                    format!("RESULT {id}\n")
-                }
-            }
+            Request::Result { id, wait } => format!("RESULT {id}{}\n", wait.suffix()),
             Request::Watch { id, since } => match since {
                 Some(round) => format!("WATCH {id} {round}\n"),
                 None => format!("WATCH {id}\n"),
@@ -317,13 +359,8 @@ impl Request {
             Some("RESULT") => {
                 arity(2..=3)?;
                 let wait = match tokens.get(2) {
-                    None => false,
-                    Some(&"wait") => true,
-                    Some(other) => {
-                        return Err(ServiceError::Protocol(format!(
-                            "unknown RESULT flag {other:?}"
-                        )))
-                    }
+                    None => Wait::No,
+                    Some(token) => Wait::parse(token)?,
                 };
                 Ok(Request::Result {
                     id: tokens[1].parse()?,
@@ -617,11 +654,11 @@ mod tests {
         round_trip_request(Request::Status { id: JobId::new(7) });
         round_trip_request(Request::Result {
             id: JobId::new(8),
-            wait: true,
+            wait: Wait::Unbounded,
         });
         round_trip_request(Request::Result {
             id: JobId::new(9),
-            wait: false,
+            wait: Wait::No,
         });
         round_trip_request(Request::Watch {
             id: JobId::new(4),
@@ -631,6 +668,33 @@ mod tests {
             id: JobId::new(4),
             since: Some(17),
         });
+        // The long-poll flags, and the exact headers they render as.
+        for (request, header) in [
+            (
+                Request::Result {
+                    id: JobId::new(7),
+                    wait: Wait::Millis(0),
+                },
+                "RESULT 7 wait=0",
+            ),
+            (
+                Request::Result {
+                    id: JobId::new(7),
+                    wait: Wait::Millis(250),
+                },
+                "RESULT 7 wait=250",
+            ),
+        ] {
+            assert_eq!(request.wire(), format!("{header}\n"));
+            round_trip_request(request);
+        }
+        // Today's forms keep their exact wire text.
+        let result = |wait| Request::Result {
+            id: JobId::new(3),
+            wait,
+        };
+        assert_eq!(result(Wait::No).wire(), "RESULT 3\n");
+        assert_eq!(result(Wait::Unbounded).wire(), "RESULT 3 wait\n");
         round_trip_request(Request::Cancel { id: JobId::new(3) });
         round_trip_request(Request::Stats);
         round_trip_request(Request::Metrics);
@@ -653,7 +717,7 @@ mod tests {
             Request::Status { id: JobId::new(1) },
             Request::Result {
                 id: JobId::new(1),
-                wait: false,
+                wait: Wait::No,
             },
             Request::Watch {
                 id: JobId::new(1),
@@ -771,6 +835,19 @@ mod tests {
         assert!(Request::from_parts("RESULT 1 now", None).is_err());
         assert!(Request::from_parts("WATCH", None).is_err(), "no id");
         assert!(Request::from_parts("WATCH 1 soon", None).is_err());
+        // Malformed long-poll flags, a token past the flag, and WATCH,
+        // which takes no flag.
+        let overflow = format!("wait={}0", u64::MAX);
+        for flag in [
+            "wait=", "wait=x", "wait=-1", "wait=+5", "waiting", &overflow,
+        ] {
+            let header = format!("RESULT 7 {flag}");
+            assert!(Request::from_parts(&header, None).is_err(), "{header}");
+        }
+        assert!(Request::from_parts("RESULT 7 wait=5 x", None).is_err());
+        assert!(Request::from_parts("RESULT 7 wait wait", None).is_err());
+        assert!(Request::from_parts("WATCH 7 wait", None).is_err());
+        assert!(Request::from_parts("WATCH 7 12 wait=250", None).is_err());
         assert!(Request::from_parts("METRICS now", None).is_err());
         assert!(Request::from_parts("TRACE", None).is_err(), "no id");
         assert!(Request::from_parts("TRACE x", None).is_err());

@@ -9,12 +9,19 @@
 //!
 //! The connection is shared behind a mutex: the protocol is strictly
 //! request/reply, so every handle operation is one serialized round
-//! trip.  `wait()` holds the connection for the duration of a
-//! server-side `RESULT <id> wait`, which blocks the *other* handles of
-//! the same executor — prefer `wait_observed` (event polling) when
-//! several handles multiplex one connection; a bounded
+//! trip.  `wait()` and
 //! [`JobHandle::wait_timeout`](ctori_engine::JobHandle::wait_timeout)
-//! polls instead of blocking, so it never starves its siblings.
+//! never poll on a timer: each is a series of **slices**, one `RESULT
+//! <id> wait=<ms>` that the server holds until the job ends or the
+//! slice does.  A slice lasts at most one second, at most half the
+//! client's read timeout ([`ServiceClient::read_timeout`]), so the
+//! reply lands well inside it, and no longer than what is left of the
+//! caller's bound.  A held reply holds the connection, and operations
+//! queue for it in a turnstile, so a waiting handle cannot take it
+//! back for its next slice while a sibling is queued: **a sibling
+//! handle on the same connection waits at most one slice** for its
+//! turn.  `wait_observed` polls `WATCH` and releases the connection
+//! between polls.
 //!
 //! ```no_run
 //! use ctori_engine::{Executor, SubmitOptions};
@@ -38,18 +45,35 @@ use crate::error::ServiceError;
 use crate::job::JobId;
 use crate::stats::ServiceStats;
 use ctori_engine::exec::{
-    ExecError, Executor, JobControl, JobHandle, JobStatus, RunEvent, SubmitOptions,
+    Deadline, ExecError, Executor, JobControl, JobHandle, JobStatus, RunEvent, SubmitOptions,
 };
 use ctori_engine::{JobTrace, MetricsSnapshot, RunOutcome, RunSpec};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// How often a bounded remote wait polls the server.
-const REMOTE_POLL: Duration = Duration::from_millis(20);
+/// The longest one server-side wait may hold the shared connection.
+const MAX_SLICE: Duration = Duration::from_secs(1);
 
 /// A [`ctori_engine::Executor`] backed by a simulation server over TCP.
 pub struct RemoteExecutor {
-    client: Arc<Mutex<ServiceClient>>,
+    connection: Arc<Connection>,
+}
+
+/// The one connection an executor's handles share.
+struct Connection {
+    /// Held from the moment an operation queues for `client` until it
+    /// has it, so its holder is next.  A handle back for the next slice
+    /// of a wait queues here behind a sibling that waited out the last
+    /// slice, instead of retaking `client` before the sibling wakes.
+    turnstile: Mutex<()>,
+    client: Mutex<ServiceClient>,
+}
+
+impl Connection {
+    fn lock(&self) -> MutexGuard<'_, ServiceClient> {
+        let _next = self.turnstile.lock().expect("remote turnstile poisoned");
+        self.client.lock().expect("remote client poisoned")
+    }
 }
 
 impl RemoteExecutor {
@@ -71,27 +95,30 @@ impl RemoteExecutor {
     /// Wraps an already-connected client.
     pub fn new(client: ServiceClient) -> Self {
         RemoteExecutor {
-            client: Arc::new(Mutex::new(client)),
+            connection: Arc::new(Connection {
+                turnstile: Mutex::new(()),
+                client: Mutex::new(client),
+            }),
         }
     }
 
     /// The service counters (cache hits, queue depth, …) — the remote
     /// analogue of the local pool's stats snapshot.
     pub fn stats(&self) -> Result<ServiceStats, ServiceError> {
-        retry_lost(&self.client, |client| client.stats())
+        retry_lost(&self.connection, |client| client.stats())
     }
 
     /// The server's full telemetry exposition — the remote analogue of
     /// [`ctori_engine::LocalExecutor::telemetry`], fetched as one
     /// [`MetricsSnapshot`] rather than live instrument handles.
     pub fn metrics(&self) -> Result<MetricsSnapshot, ServiceError> {
-        retry_lost(&self.client, |client| client.metrics())
+        retry_lost(&self.connection, |client| client.metrics())
     }
 
     /// A job's lifecycle trace, fetched from the server — the
     /// remote analogue of [`ctori_engine::LocalExecutor::job_trace`].
     pub fn trace(&self, id: JobId) -> Result<JobTrace, ServiceError> {
-        retry_lost(&self.client, |client| client.trace(id))
+        retry_lost(&self.connection, |client| client.trace(id))
     }
 
     /// Asks the server to drain and exit (`SHUTDOWN`); the connection is
@@ -101,11 +128,7 @@ impl RemoteExecutor {
     /// backend-agnostic caller code that drains its executor must stay
     /// safe to point at a server other clients are using.
     pub fn shutdown_server(&self) -> Result<(), ServiceError> {
-        self.lock().request_shutdown()
-    }
-
-    fn lock(&self) -> MutexGuard<'_, ServiceClient> {
-        self.client.lock().expect("remote client poisoned")
+        self.connection.lock().request_shutdown()
     }
 }
 
@@ -114,11 +137,11 @@ impl Executor for RemoteExecutor {
         // A retried SUBMIT may land twice when the reply (not the request)
         // was lost; that is safe — jobs are content-addressed by
         // `RunSpec::canonical_key()`, so the duplicate is a cache hit.
-        let id = retry_lost(&self.client, |client| {
+        let id = retry_lost(&self.connection, |client| {
             client.submit_with_priority(spec, options.priority)
         })
         .map_err(lower)?;
-        Ok(remote_handle(&self.client, id))
+        Ok(remote_handle(&self.connection, id))
     }
 
     fn submit_sweep(
@@ -126,13 +149,13 @@ impl Executor for RemoteExecutor {
         specs: &[RunSpec],
         options: SubmitOptions,
     ) -> Result<Vec<JobHandle>, ExecError> {
-        let ids = retry_lost(&self.client, |client| {
+        let ids = retry_lost(&self.connection, |client| {
             client.sweep_with_priority(specs, options.priority)
         })
         .map_err(lower)?;
         Ok(ids
             .into_iter()
-            .map(|id| remote_handle(&self.client, id))
+            .map(|id| remote_handle(&self.connection, id))
             .collect())
     }
 
@@ -147,9 +170,9 @@ impl Executor for RemoteExecutor {
     }
 }
 
-fn remote_handle(client: &Arc<Mutex<ServiceClient>>, id: JobId) -> JobHandle {
+fn remote_handle(connection: &Arc<Connection>, id: JobId) -> JobHandle {
     JobHandle::new(Box::new(RemoteHandle {
-        client: Arc::clone(client),
+        connection: Arc::clone(connection),
         id,
         last_round: None,
         stream_closed: false,
@@ -164,10 +187,10 @@ fn remote_handle(client: &Arc<Mutex<ServiceClient>>, id: JobId) -> JobHandle {
 /// itself fails the *original* error is returned, so a dead server still
 /// surfaces as `ConnectionLost` rather than a connect failure.
 fn retry_lost<T>(
-    client: &Arc<Mutex<ServiceClient>>,
+    connection: &Connection,
     mut op: impl FnMut(&mut ServiceClient) -> Result<T, ServiceError>,
 ) -> Result<T, ServiceError> {
-    let mut guard = client.lock().expect("remote client poisoned");
+    let mut guard = connection.lock();
     match op(&mut guard) {
         Err(first @ (ServiceError::ConnectionLost | ServiceError::TimedOut)) => {
             if guard.reconnect().is_err() {
@@ -177,6 +200,14 @@ fn retry_lost<T>(
         }
         other => other,
     }
+}
+
+/// How long the next server-side wait may hold the connection: what is
+/// left until `deadline`, at most [`MAX_SLICE`] and at most half the
+/// client's read timeout.
+fn slice(deadline: Deadline, read_timeout: Option<Duration>) -> Duration {
+    let cap = read_timeout.map_or(MAX_SLICE, |timeout| MAX_SLICE.min(timeout / 2));
+    deadline.left_within(Some(cap)).unwrap_or(cap)
 }
 
 /// Translates a wire-level failure into the backend-agnostic error the
@@ -206,7 +237,7 @@ fn lower(error: ServiceError) -> ExecError {
 
 /// The remote [`JobControl`]: one protocol round trip per operation.
 struct RemoteHandle {
-    client: Arc<Mutex<ServiceClient>>,
+    connection: Arc<Connection>,
     id: JobId,
     /// The highest progress round already delivered through
     /// [`JobControl::poll_events`]; the next `WATCH` resumes after it.
@@ -223,49 +254,37 @@ impl JobControl for RemoteHandle {
 
     fn status(&mut self) -> Result<JobStatus, ExecError> {
         let id = self.id;
-        retry_lost(&self.client, |client| client.status(id)).map_err(lower)
+        retry_lost(&self.connection, |client| client.status(id)).map_err(lower)
     }
 
-    // Deliberate timing code: the bounded wait polls against a deadline.
-    #[allow(clippy::disallowed_methods)]
     fn wait(&mut self, timeout: Option<Duration>) -> Result<Arc<RunOutcome>, ExecError> {
-        match timeout {
-            // Unbounded: let the server block the reply until the job is
-            // terminal (one round trip, no polling).
-            None => {
-                let id = self.id;
-                retry_lost(&self.client, |client| client.result(id))
-                    .map(Arc::new)
-                    .map_err(lower)
+        let (id, deadline) = (self.id, Deadline::after(timeout));
+        // One server-side wait per slice; the connection is free for the
+        // other handles between slices.
+        loop {
+            let outcome = retry_lost(&self.connection, |client| {
+                client.result_within(id, slice(deadline, client.read_timeout()))
+            })
+            .map_err(lower)?;
+            if let Some(outcome) = outcome {
+                return Ok(Arc::new(outcome));
             }
-            // Bounded: poll with try_result so the shared connection is
-            // released between probes and no half-read reply can be left
-            // behind by a client-side read deadline.
-            Some(timeout) => {
-                let deadline = Instant::now() + timeout;
-                loop {
-                    if let Some(outcome) = self.try_outcome()? {
-                        return Ok(outcome);
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(ExecError::NotFinished);
-                    }
-                    std::thread::sleep(REMOTE_POLL);
-                }
+            if deadline.passed() {
+                return Err(ExecError::NotFinished);
             }
         }
     }
 
     fn try_outcome(&mut self) -> Result<Option<Arc<RunOutcome>>, ExecError> {
         let id = self.id;
-        retry_lost(&self.client, |client| client.try_result(id))
+        retry_lost(&self.connection, |client| client.try_result(id))
             .map(|outcome| outcome.map(Arc::new))
             .map_err(lower)
     }
 
     fn cancel(&mut self) -> Result<(), ExecError> {
         let id = self.id;
-        retry_lost(&self.client, |client| client.cancel(id)).map_err(lower)
+        retry_lost(&self.connection, |client| client.cancel(id)).map_err(lower)
     }
 
     fn poll_events(&mut self) -> Result<Vec<RunEvent>, ExecError> {
@@ -273,7 +292,8 @@ impl JobControl for RemoteHandle {
             return Ok(Vec::new());
         }
         let (id, since) = (self.id, self.last_round);
-        let events = retry_lost(&self.client, |client| client.watch(id, since)).map_err(lower)?;
+        let events =
+            retry_lost(&self.connection, |client| client.watch(id, since)).map_err(lower)?;
         if let Some(round) = events.iter().filter_map(RunEvent::progress_round).max() {
             self.last_round = Some(round);
         } else if self.last_round.is_none() && events.iter().any(|e| !e.is_terminal()) {

@@ -8,9 +8,16 @@
 //! that only parses requests, calls the pool, and writes replies — all
 //! simulation work runs on the persistent worker pool, so a thousand idle
 //! connections cost no simulation threads.  Handlers poll a
-//! shared shutdown flag on a short read timeout, and the listener itself
-//! is nonblocking and polls the same flag, which is what lets a drain
-//! initiated on one connection unblock every other one and the acceptor.
+//! shared shutdown flag on a short read timeout, which is what lets a
+//! drain initiated on one connection close every other one.  An
+//! **acceptor** thread blocks in `accept` and hands each new connection
+//! to [`Server::serve`] over a channel, so a fresh client is served the
+//! moment it connects, with no accept poll to wait out.
+//!
+//! `RESULT … wait` replies are held server-side (long polling, RFC
+//! 6202): the handler blocks on the pool until the outcome exists, or
+//! the request's `wait=<ms>` bound expires.  Every admitted job
+//! terminates, also during a drain, so a held reply always ends.
 //!
 //! Incoming data is bounded: a single request line is capped at
 //! [`MAX_LINE_BYTES`] and a payload block at [`MAX_PAYLOAD_BYTES`], so a
@@ -23,33 +30,39 @@
 //! split into several `SWEEP`/`SUBMIT` requests — the pool's queue
 //! bound, not the framing bound, is the admission limit.
 //!
-//! Shutdown sequence: the handler that reads `SHUTDOWN` replies `OK bye`
-//! and raises the flag; the accept loop observes it within one poll
-//! interval and exits, the remaining handlers finish their in-flight
-//! request and close, and finally the pool drains (every admitted job
-//! still executes) before [`Server::serve`] returns the final counters.
+//! Shutdown sequence: the handler that reads `SHUTDOWN` raises the flag,
+//! replies `OK bye` and sends a shutdown message down the acceptor's
+//! channel, so [`Server::serve`] stops taking connections without
+//! waiting on the acceptor.  The handler then pokes the listener with a
+//! throwaway connection to the address its own client reached, which
+//! wakes the acceptor to see the flag and exit.  The poke is best
+//! effort: if it fails, the acceptor exits on the next connection
+//! instead, and `serve()` returns all the same.  The remaining handlers
+//! finish their in-flight request and close, and finally the pool
+//! drains (every admitted job still executes) before
+//! [`Server::serve`] returns the final counters.
 
 use crate::cache::SharedCache;
 use crate::error::ServiceError;
 use crate::job::JobId;
-use crate::protocol::{self, BlockLine, Request, Response};
+use crate::protocol::{self, BlockLine, Request, Response, Wait};
 use crate::stats::ServiceStats;
 use ctori_engine::telemetry::{monotonic_nanos, Counter, Histogram};
 use ctori_engine::{LocalExecutor, LocalExecutorConfig, OutcomeCache, Registry, RunSpec};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// How often idle connection handlers check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
-/// How often the idle accept loop polls for connections (and the
-/// shutdown flag).  Shorter than [`POLL_INTERVAL`]: this bounds the
-/// connection-establishment latency every fresh client pays on an idle
-/// server, and a 10 ms wake on one thread is negligible.
-const ACCEPT_POLL_INTERVAL: Duration = Duration::from_millis(10);
+/// The pause before the acceptor retries an `accept` that failed in a
+/// way that may persist (the process is out of file descriptors, say),
+/// so such a failure cannot spin a core.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 /// Upper bound on one request line (a header or one payload line).
 pub const MAX_LINE_BYTES: usize = 1 << 20; // 1 MiB
@@ -170,8 +183,17 @@ pub struct Server {
     cache: Arc<SharedCache>,
     /// Monotonic start instant, for the STATS uptime report.
     started_nanos: u64,
-    shutdown: AtomicBool,
+    /// Raised by `SHUTDOWN`; shared with the acceptor thread.
+    shutdown: Arc<AtomicBool>,
     metrics: WireMetrics,
+}
+
+/// What the acceptor hands [`Server::serve`].
+enum Accepted {
+    /// A new connection.
+    Stream(TcpStream),
+    /// A handler read `SHUTDOWN`: stop taking connections.
+    Shutdown,
 }
 
 impl Server {
@@ -199,7 +221,7 @@ impl Server {
             pool,
             cache,
             started_nanos: monotonic_nanos(),
-            shutdown: AtomicBool::new(false),
+            shutdown: Arc::new(AtomicBool::new(false)),
             metrics,
         })
     }
@@ -212,36 +234,30 @@ impl Server {
     /// Serves connections until a client issues `SHUTDOWN`, then drains
     /// the pool and returns the final counters.
     pub fn serve(self) -> std::io::Result<ServiceStats> {
-        // A nonblocking listener lets the accept loop poll the shutdown
-        // flag directly, so a drain raised on any connection is observed
-        // within one poll interval — no dependence on a further client
-        // connecting (or on a self-connect succeeding) to unblock accept.
-        self.listener.set_nonblocking(true)?;
+        let (accepted, incoming) = mpsc::channel();
+        let listener = self.listener.try_clone()?;
+        let shutdown = Arc::clone(&self.shutdown);
+        let to_serve = accepted.clone();
+        // Not scoped: `serve()` must be able to return while the acceptor
+        // is still blocked in `accept` (see the module docs).
+        std::thread::Builder::new()
+            .name("ctori-accept".into())
+            .spawn(move || accept_loop(&listener, &to_serve, &shutdown))?;
         std::thread::scope(|scope| {
-            while !self.shutdown.load(Ordering::SeqCst) {
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        // Handlers expect a blocking socket with a read
-                        // timeout as their poll mechanism.
-                        if stream.set_nonblocking(false).is_err() {
-                            continue;
-                        }
-                        let server = &self;
-                        scope.spawn(move || {
-                            server.metrics.connections.inc();
-                            let opened = monotonic_nanos();
-                            handle_connection(stream, server);
-                            server
-                                .metrics
-                                .connection_lifetime_ms
-                                .record(monotonic_nanos().saturating_sub(opened) / 1_000_000);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    // WouldBlock (no pending connection) or a transient
-                    // accept failure: sleep one accept poll and retry.
-                    Err(_) => std::thread::sleep(ACCEPT_POLL_INTERVAL),
-                }
+            for next in &incoming {
+                let Accepted::Stream(stream) = next else {
+                    break;
+                };
+                let (server, accepted) = (&self, accepted.clone());
+                scope.spawn(move || {
+                    server.metrics.connections.inc();
+                    let opened = monotonic_nanos();
+                    handle_connection(stream, server, &accepted);
+                    server
+                        .metrics
+                        .connection_lifetime_ms
+                        .record(monotonic_nanos().saturating_sub(opened) / 1_000_000);
+                });
             }
         });
         self.pool.shutdown();
@@ -263,6 +279,43 @@ impl Server {
             uptime_seconds: monotonic_nanos().saturating_sub(self.started_nanos) / 1_000_000_000,
             cache: self.cache.stats(),
         }
+    }
+}
+
+/// The acceptor thread's body: blocks in `accept` and hands each
+/// connection to `serve()` until the shutdown flag is up or `serve()` has
+/// returned.  A connection accepted after `SHUTDOWN` (the handler's poke,
+/// or a late client) is dropped unserved.
+fn accept_loop(listener: &TcpListener, accepted: &Sender<Accepted>, shutdown: &AtomicBool) {
+    while !shutdown.load(Ordering::SeqCst) {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                if shutdown.load(Ordering::SeqCst)
+                    || accepted.send(Accepted::Stream(stream)).is_err()
+                {
+                    return;
+                }
+            }
+            // Failures of one connection, not of the listener.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::Interrupted | std::io::ErrorKind::ConnectionAborted
+                ) => {}
+            // A plain pause: nothing unparks the acceptor.
+            Err(_) => std::thread::park_timeout(ACCEPT_RETRY),
+        }
+    }
+}
+
+/// Wakes an acceptor blocked in `accept` so it sees the shutdown flag:
+/// one throwaway connection to `addr`, the local end of the connection
+/// that carried `SHUTDOWN`.  That address just took a connection from
+/// the client, so it reaches the listener even when the listener is
+/// bound to an unspecified address such as `0.0.0.0`.  Best effort.
+fn poke_listener(addr: std::io::Result<SocketAddr>) {
+    if let Ok(addr) = addr {
+        let _ = TcpStream::connect_timeout(&addr, POLL_INTERVAL);
     }
 }
 
@@ -390,8 +443,9 @@ fn reply_bad_request(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, 
     }
 }
 
-/// One connection's request/reply loop.
-fn handle_connection(stream: TcpStream, server: &Server) {
+/// One connection's request/reply loop.  `accepted` is the channel to
+/// `serve()`, used only to pass `SHUTDOWN` on.
+fn handle_connection(stream: TcpStream, server: &Server, accepted: &Sender<Accepted>) {
     let (shutdown, metrics) = (&server.shutdown, &server.metrics);
     // The timeout is only a poll interval for the shutdown flag; requests
     // themselves can sit idle indefinitely.
@@ -453,10 +507,12 @@ fn handle_connection(stream: TcpStream, server: &Server) {
         };
         let reply = response.wire();
         metrics.bytes_out.add(reply.len() as u64);
-        if writer.write_all(reply.as_bytes()).is_err() || writer.flush().is_err() {
-            return;
-        }
+        let delivered = writer.write_all(reply.as_bytes()).is_ok() && writer.flush().is_ok();
         if bye {
+            let _ = accepted.send(Accepted::Shutdown);
+            return poke_listener(writer.local_addr());
+        }
+        if !delivered {
             return;
         }
     }
@@ -486,14 +542,17 @@ fn dispatch(request: Request, server: &Server) -> Result<Response, ServiceError>
             Response::Jobs(ids.into_iter().map(JobId::new).collect())
         }
         Request::Status { id } => Response::Status(pool.job_status(id.as_u64())?),
-        Request::Result { id, wait } => Response::Result(
-            if wait {
-                pool.wait_job(id.as_u64(), None)?
-            } else {
-                pool.job_outcome(id.as_u64())?
-            }
-            .to_text(),
-        ),
+        // A long poll: the handler blocks here, on the pool, for as long
+        // as `wait` allows.
+        Request::Result { id, wait } => {
+            let id = id.as_u64();
+            let outcome = match wait {
+                Wait::No => pool.job_outcome(id),
+                Wait::Unbounded => pool.wait_job(id, None),
+                Wait::Millis(ms) => pool.wait_job(id, Some(Duration::from_millis(ms))),
+            }?;
+            Response::Result(outcome.to_text())
+        }
         Request::Watch { id, since } => Response::Events(pool.events_since(id.as_u64(), since)?),
         Request::Cancel { id } => {
             pool.cancel_job(id.as_u64())?;
@@ -503,8 +562,10 @@ fn dispatch(request: Request, server: &Server) -> Result<Response, ServiceError>
         Request::Metrics => Response::Metrics(pool.telemetry().snapshot()),
         Request::Trace { id } => Response::Trace(pool.job_trace(id.as_u64())?),
         Request::Shutdown => {
-            // The nonblocking accept loop observes the flag within one
-            // poll interval; no further nudge is needed.
+            // Raised before the reply, the channel message and the poke
+            // (see `handle_connection`), so the acceptor sees it as soon
+            // as the poke wakes it, and every other handler by its next
+            // read timeout.
             server.shutdown.store(true, Ordering::SeqCst);
             Response::Bye
         }
@@ -532,7 +593,7 @@ mod tests {
             Request::Status { id: JobId::new(1) },
             Request::Result {
                 id: JobId::new(1),
-                wait: false,
+                wait: Wait::No,
             },
             Request::Watch {
                 id: JobId::new(1),

@@ -13,16 +13,17 @@
 
 use ctori_coloring::Color;
 use ctori_engine::{
-    MetricsSnapshot, RuleSpec, RunEvent, RunSpec, Runner, SeedSpec, SpanKind, TopologySpec,
+    Executor, MetricsSnapshot, RuleSpec, RunEvent, RunSpec, Runner, SeedSpec, SpanKind,
+    SubmitOptions, TopologySpec,
 };
 use ctori_service::{
-    JobState, Priority, SchedulerConfig, Server, ServiceClient, ServiceConfig, ServiceError,
-    ServiceStats,
+    JobState, Priority, RemoteExecutor, SchedulerConfig, Server, ServiceClient, ServiceConfig,
+    ServiceError, ServiceStats,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 type ServerHandle = JoinHandle<std::io::Result<ServiceStats>>;
 
@@ -53,6 +54,16 @@ fn spec(size: usize, node: usize) -> RunSpec {
         TopologySpec::toroidal_mesh(size, size),
         RuleSpec::parse("smp").unwrap(),
         SeedSpec::nodes(Color::new(1), Color::new(2), [node]),
+    )
+}
+
+/// A long-running job: threshold-1 growth floods a `size`² torus from
+/// one seed in about `size` rounds, a full sweep each.
+fn growth(size: usize) -> RunSpec {
+    RunSpec::new(
+        TopologySpec::toroidal_mesh(size, size),
+        RuleSpec::parse("threshold(2,1)").unwrap(),
+        SeedSpec::nodes(Color::new(2), Color::new(1), [0usize]),
     )
 }
 
@@ -184,12 +195,7 @@ fn watch_streams_monotone_rounds_ending_terminal() {
 
     // A long-running job: threshold-1 growth floods a 48x48 torus in ~70
     // rounds, so WATCH polls genuinely overlap the in-flight run.
-    let growth = RunSpec::new(
-        TopologySpec::toroidal_mesh(48, 48),
-        RuleSpec::parse("threshold(2,1)").unwrap(),
-        SeedSpec::nodes(Color::new(2), Color::new(1), [0usize]),
-    );
-    let id = client.submit(&growth).unwrap();
+    let id = client.submit(&growth(48)).unwrap();
 
     // The WATCH polling loop a streaming client runs: everything first,
     // then only progress beyond the last seen round.
@@ -472,4 +478,149 @@ fn shutdown_drains_admitted_jobs() {
     assert_eq!(final_stats.queued, 0, "drain leaves nothing queued");
     assert_eq!(final_stats.running, 0);
     assert_eq!(final_stats.done, ids.len() as u64, "every admitted job ran");
+}
+
+/// Serves `server` on its own thread and reports `serve()`'s result over
+/// a channel, so a test can bound how long it waits for the return.
+fn serve_reporting(server: Server) -> std::sync::mpsc::Receiver<std::io::Result<ServiceStats>> {
+    let (done, returned) = std::sync::mpsc::channel();
+    // Deliberate spawn: a stuck serve() must fail the test, not hang it.
+    #[allow(clippy::disallowed_methods)]
+    std::thread::spawn(move || {
+        let _ = done.send(server.serve());
+    });
+    returned
+}
+
+#[test]
+fn shutdown_returns_promptly_on_loopback_and_unspecified_binds() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = Server::bind(ServiceConfig {
+            addr: bind.into(),
+            scheduler: SchedulerConfig {
+                workers: 1,
+                ..SchedulerConfig::default()
+            },
+        })
+        .expect("bind an ephemeral port");
+        // The listener may be bound to the unspecified address; clients
+        // reach it through loopback.
+        let port = server.local_addr().expect("local addr").port();
+        let returned = serve_reporting(server);
+        let mut client = ServiceClient::connect(("127.0.0.1", port)).unwrap();
+        let id = client.submit(&spec(8, 1)).unwrap();
+        client.result(id).unwrap();
+        client.shutdown().unwrap();
+        let stats = returned
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("serve() on {bind} still running 5 s after SHUTDOWN"))
+            .unwrap();
+        assert_eq!(stats.done, 1, "{bind}");
+        // SHUTDOWN also woke the acceptor, which closed the listener, so
+        // a new client is refused.  Only a first attempt can tell: an
+        // acceptor still in `accept` would take it and wake up then.
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(
+            TcpStream::connect(("127.0.0.1", port)).is_err(),
+            "{bind}: still listening after serve() returned"
+        );
+    }
+}
+
+#[test]
+fn shutdown_returns_while_a_result_wait_is_held() {
+    let server = Server::bind(ServiceConfig {
+        addr: "127.0.0.1:0".into(),
+        scheduler: SchedulerConfig {
+            workers: 1,
+            queue_capacity: 16,
+            cache_capacity: 0,
+            ..SchedulerConfig::default()
+        },
+    })
+    .expect("bind ephemeral loopback port");
+    let addr = server.local_addr().expect("local addr").to_string();
+    let returned = serve_reporting(server);
+    let mut client = ServiceClient::connect(addr.as_str()).unwrap();
+    // The tail is queued behind the head on the single worker.
+    client.submit(&growth(512)).unwrap();
+    let tail = spec(24, 1);
+    let tail_id = client.submit(&tail).unwrap();
+    // Another connection holds `RESULT <tail> wait=60000`.
+    let mut waiter = ServiceClient::connect(addr.as_str()).unwrap();
+    // Deliberate spawn: joined below.
+    #[allow(clippy::disallowed_methods)]
+    let held = std::thread::spawn(move || waiter.result_within(tail_id, Duration::from_secs(60)));
+    // The RESULT counter ticks before the request is dispatched, so once
+    // it reads 1 the wait is held (or about to be).
+    while client.metrics().unwrap().counter("server.requests.RESULT") != Some(1) {
+        std::thread::yield_now();
+    }
+    assert_eq!(client.status(tail_id).unwrap().state, JobState::Queued);
+    client.shutdown().unwrap();
+    let stats = returned
+        .recv_timeout(Duration::from_secs(5))
+        .expect("serve() still running 5 s after SHUTDOWN")
+        .unwrap();
+    // The drain ran both admitted jobs, which released the held wait.
+    assert_eq!(stats.done, 2);
+    let outcome = held.join().unwrap().unwrap();
+    assert_eq!(outcome, Some(Runner::with_threads(1).execute(&tail)));
+}
+
+#[test]
+fn a_held_remote_wait_lets_a_sibling_in_within_one_slice() {
+    let (addr, server) = start_server(SchedulerConfig {
+        workers: 1,
+        queue_capacity: 16,
+        cache_capacity: 0,
+        ..SchedulerConfig::default()
+    });
+    // Long jobs, submitted on a connection of their own: one runs on the
+    // single worker and the rest queue behind it, so the tail stays
+    // queued for seconds unless they are cancelled.
+    let mut side = ServiceClient::connect(addr.as_str()).unwrap();
+    let heads: Vec<_> = (0..8)
+        .map(|i| side.submit(&growth(512 + i)).unwrap())
+        .collect();
+    // No read timeout, so each slice of a wait holds the executor's one
+    // connection for up to one second.
+    let remote = RemoteExecutor::connect(addr.as_str()).unwrap();
+    let tail = spec(24, 1);
+    let mut waiting = remote.submit(&tail, SubmitOptions::default()).unwrap();
+    std::thread::scope(|scope| {
+        let held = scope.spawn(move || waiting.wait_timeout(Duration::from_secs(60)));
+        // The RESULT counter ticks before the request is dispatched, so
+        // once it moves the first slice is held (or about to be).
+        while side
+            .metrics()
+            .unwrap()
+            .counter("server.requests.RESULT")
+            .unwrap_or(0)
+            == 0
+        {
+            std::thread::yield_now();
+        }
+        #[allow(clippy::disallowed_methods)]
+        let started = Instant::now();
+        let sibling = spec(8, 2);
+        let mut handle = remote.submit(&sibling, SubmitOptions::default()).unwrap();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "a sibling waited {took:?} for the connection"
+        );
+        // Let the tail run next (a head that already runs refuses).
+        for id in heads {
+            let _ = side.cancel(id);
+        }
+        let outcome = held.join().unwrap().unwrap();
+        assert_eq!(*outcome, Runner::with_threads(1).execute(&tail));
+        assert_eq!(
+            *handle.wait().unwrap(),
+            Runner::with_threads(1).execute(&sibling)
+        );
+    });
+    side.shutdown().unwrap();
+    server.join().unwrap().unwrap();
 }
