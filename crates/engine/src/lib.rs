@@ -8,14 +8,16 @@
 //! one round per unit of time.  The engine provides:
 //!
 //! * [`Simulator`] — an incremental synchronous stepper over any
-//!   [`ctori_topology::Topology`] and any [`ctori_protocols::LocalRule`],
-//!   flattened onto the shared [`ctori_topology::Adjacency`] CSR kernel.
+//!   [`ctori_topology::Topology`] and any [`ctori_protocols::LocalRule`].
 //!   After the first round only the *frontier* (last round's changed
 //!   vertices and their out-neighbours) is re-evaluated, and torus runs
 //!   of up to 16 colours whose rule has a
 //!   [`ctori_protocols::ColorCountRule`] form are routed onto the
 //!   bit-plane lane ([`planes::PlaneLane`]), which evaluates 64 vertices
-//!   per word (one plane for one or two colours); per round, the loop
+//!   per word (one plane for one or two colours) straight from the
+//!   torus's wrap rule.  The generic lane steps over the
+//!   [`ctori_topology::Adjacency`] CSR kernel, which a torus simulator
+//!   builds only when a lane or caller reads it; per round, the loop
 //!   allocates only the band scheduler's small bookkeeping vectors;
 //! * [`state`] — the [`state::StateVec`] backends behind the simulator
 //!   (generic colour vector vs. bit planes);

@@ -29,27 +29,33 @@
 //! word indices, and a word is re-evaluated when any of its 64 vertices or
 //! their neighbours changed last round (dirty propagation is word-level
 //! too, through a per-word neighbour-word table built at construction —
-//! no per-flip CSR walks).  Words are classified once at construction:
+//! no per-flip neighbour walks).  Words are classified once at
+//! construction, from the torus's own wrap rule
+//! ([`ctori_topology::Torus`]); no CSR is built:
 //!
-//! * **fast** — the word is full and every vertex `v` in it has the CSR
-//!   neighbour pattern `[v-cols, v+cols, v-1, v+1]`, the interior pattern
-//!   shared by all three [`ctori_topology::TorusKind`]s (on the chordal
-//!   tori even the row-wrap columns match it, because their west/east
-//!   wraps are literally `v∓1` in row-major order);
+//! * **fast** — the word is full and none of its vertices lies in row 0
+//!   or row `m-1`, so every vertex `v` in it has the neighbour pattern
+//!   `[v-cols, v+cols, v-1, v+1]`, the interior pattern shared by all
+//!   three [`ctori_topology::TorusKind`]s (on the chordal tori even the
+//!   row-wrap columns match it, because their west/east wraps are
+//!   literally `v∓1` in row-major order);
 //! * **wrap** — as fast, except that some lanes are toroidal-mesh
-//!   row-wrap columns, whose west neighbour is `v+cols-1` and east
-//!   neighbour `v-cols+1`: the word goes through the same vector kernel
-//!   with those lanes blended in, under a lane mask, from a second funnel
-//!   gather one row further on (back) — on narrow meshes a word spans
-//!   several rows and so several wrap columns;
+//!   row-wrap columns, whose west neighbour is `v+cols-1` (column 0) and
+//!   east neighbour `v-cols+1` (column `n-1`): the word goes through the
+//!   same vector kernel with those lanes blended in, under a lane mask,
+//!   from a second funnel gather one row further on (back) — on narrow
+//!   meshes a word spans several rows and so several wrap columns;
 //! * **slow** — everything else (the two vertical-wrap boundary rows, the
-//!   partial tail word, non-torus structure): exact per-vertex CSR
-//!   evaluation.
+//!   partial tail word): exact per-vertex evaluation over neighbour lists
+//!   the lane stores for these words' vertices alone, read off
+//!   [`ctori_topology::Torus::neighbor_ids`].
 //!
 //! Explicit wrap handling therefore costs two extra gathers on the O(rows)
 //! wrap words and the scalar path only the words holding the O(cols)
 //! boundary-row vertices, while the O(rows · cols) interior streams
-//! through the vector kernel.
+//! through the vector kernel.  A lane over a general graph
+//! ([`PlaneLane::for_graph`]) has no torus rows: every word is slow, and
+//! its lists are a copy of the graph's CSR.
 //!
 //! # Cache-tiled traversal
 //!
@@ -72,9 +78,13 @@
 //!   to its code byte, and one carry-free multiply gathers bit `p` of
 //!   eight code bytes into eight lanes of plane `p`; the census comes
 //!   from indicator popcounts over the packed words;
+//! * words are classified by arithmetic on the rows and mesh wrap
+//!   columns they cover, and only slow words' vertices get stored
+//!   neighbour lists;
 //! * a fast or wrap word's dirty-mark list is derived from its gather
 //!   bases and lane masks — the words its kernel reads *are* the words
-//!   holding its neighbours — and only slow words walk the CSR.
+//!   holding its neighbours — and only slow words walk their stored
+//!   lists.
 //!
 //! [`PlaneLane::snapshot`] decodes a word at a time the other way round,
 //! one table lookup spreading eight lanes of a plane into eight code
@@ -97,7 +107,7 @@ use crate::frontier::Worklist;
 use crate::parallel::{band_ranges, run_bands};
 use ctori_coloring::Color;
 use ctori_protocols::{ColorCountForm, ColorCountRule};
-use ctori_topology::Adjacency;
+use ctori_topology::{Adjacency, NodeId, Topology, Torus, TorusKind};
 
 /// Planes needed for the largest supported palette (16 colours → 4 bits).
 const MAX_PLANES: usize = 4;
@@ -124,13 +134,15 @@ enum Decision {
 /// How one 64-vertex word is evaluated (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum WordClass {
-    /// Full word, interior CSR pattern in all four directions.
+    /// Full word off the boundary rows: the interior neighbour pattern
+    /// `[v-cols, v+cols, v-1, v+1]` in all four directions.
     Fast,
     /// Full word, interior pattern vertically; the lanes in `west`
     /// (`east`) are toroidal-mesh row-wrap columns whose west (east)
     /// neighbour is `v+cols-1` (`v-cols+1`) instead of `v∓1`.
     Wrap { west: u64, east: u64 },
-    /// Anything else: exact per-vertex CSR evaluation.
+    /// Anything else: exact per-vertex evaluation over the word's stored
+    /// neighbour lists ([`SlowLists`]).
     Slow,
 }
 
@@ -215,7 +227,7 @@ fn zobrist_term(w: usize, p: usize, bits: u64) -> u64 {
 /// Reads the 64 bits starting at bit `base` of a packed bit array.
 ///
 /// Callers guarantee `base + 63` is a valid bit index (fast-word
-/// classification does: every gathered position is a CSR neighbour of an
+/// classification does: every gathered position is a neighbour of an
 /// in-range vertex), which bounds both word accesses.
 #[inline(always)]
 fn gather(plane: &[u64], base: usize) -> u64 {
@@ -346,56 +358,102 @@ fn pack_planes(
     (planes, census)
 }
 
-/// Classifies every word against the shared interior CSR pattern
-/// `[v-cols, v+cols, v-1, v+1]`.
+/// Classifies every word of a torus from its wrap rule.
 ///
-/// Computed in i64 so grid-edge vertices (whose wrapped neighbours differ
-/// per torus kind) can never match accidentally.  A full word whose only
-/// deviations are toroidal-mesh row-wrap lanes still takes the vector
-/// kernel with those lanes blended in; the matching vertical pattern
-/// guarantees every gather it performs stays in bounds (base >= cols and
-/// base + 64 <= len - cols).
-fn classify_words(adjacency: &Adjacency, cols: usize) -> Vec<WordClass> {
-    let len = adjacency.node_count();
-    let mut class = vec![WordClass::Slow; len.div_ceil(64)];
-    if cols == 0 {
-        return class;
-    }
-    let stride = cols as i64;
-    'words: for (w, slot) in class.iter_mut().enumerate() {
-        let start = w * 64;
-        if start + 64 > len {
-            continue;
+/// A full word is fast or wrap iff none of its vertices lies in row 0 or
+/// row `m-1`: off those rows every vertex of all three kinds has the
+/// interior pattern `[v-cols, v+cols, v-1, v+1]`, except that on the
+/// toroidal mesh column 0 wraps west to `v+cols-1` and column `n-1` east
+/// to `v-cols+1` (the chordal tori's row wraps are `v∓1`).  Keeping off
+/// the boundary rows also keeps every gather the vector kernel performs
+/// in bounds (base >= cols and base + 64 <= len - cols).  Every other
+/// word, the partial tail word included, is slow.
+fn classify_torus(torus: &Torus) -> Vec<WordClass> {
+    let (rows, cols) = (torus.rows(), torus.cols());
+    let words = (rows * cols).div_ceil(64);
+    let wrap_lanes = match torus.kind() {
+        TorusKind::ToroidalMesh => true,
+        TorusKind::TorusCordalis | TorusKind::TorusSerpentinus => false,
+        // A kind whose wraps this rule does not know takes the exact path.
+        _ => return vec![WordClass::Slow; words],
+    };
+    // The lanes of the word starting at vertex `base` that hold column
+    // `col`: every `cols`-th lane from the first one in that column.
+    let column_lanes = |base: usize, col: usize| {
+        let mut lanes = 0u64;
+        let mut v = base + (col + cols - base % cols) % cols;
+        while v < base + 64 {
+            lanes |= 1 << (v - base);
+            v += cols;
         }
-        let (mut west, mut east) = (0u64, 0u64);
-        for v in start..start + 64 {
-            let nbrs = adjacency.neighbors_raw(v);
-            let vi = v as i64;
-            if nbrs.len() != 4
-                || i64::from(nbrs[0]) != vi - stride
-                || i64::from(nbrs[1]) != vi + stride
-            {
-                continue 'words;
+        lanes
+    };
+    let interior_end = (rows - 1) * cols;
+    (0..words)
+        .map(|w| {
+            let base = w * 64;
+            if base < cols || base + 64 > interior_end {
+                WordClass::Slow
+            } else if wrap_lanes {
+                let (west, east) = (column_lanes(base, 0), column_lanes(base, cols - 1));
+                if west | east == 0 {
+                    WordClass::Fast
+                } else {
+                    WordClass::Wrap { west, east }
+                }
+            } else {
+                WordClass::Fast
             }
-            let lane = 1u64 << (v - start);
-            match i64::from(nbrs[2]) - vi {
-                -1 => {}
-                d if d == stride - 1 => west |= lane,
-                _ => continue 'words,
-            }
-            match i64::from(nbrs[3]) - vi {
-                1 => {}
-                d if d == 1 - stride => east |= lane,
-                _ => continue 'words,
-            }
-        }
-        *slot = if west | east == 0 {
-            WordClass::Fast
-        } else {
-            WordClass::Wrap { west, east }
+        })
+        .collect()
+}
+
+/// The neighbour lists of the vertices in slow words, in CSR form: row
+/// `64·s + i` lists the neighbours of lane `i` of the `s`-th slow word.
+///
+/// On a torus that is the O(cols) vertices of the two boundary rows and
+/// the tail; fast and wrap words gather arithmetically and need none.
+#[derive(Clone, Debug)]
+struct SlowLists {
+    /// The slow words, ascending (only the last can be a partial word, so
+    /// the rows of every slow word start at a multiple of 64).
+    words: Vec<u32>,
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl SlowLists {
+    /// Stores the lists of every slow word's vertices, which
+    /// `neighbors(v, out)` appends to `out`.
+    fn collect(
+        class: &[WordClass],
+        len: usize,
+        mut neighbors: impl FnMut(usize, &mut Vec<u32>),
+    ) -> Self {
+        let mut lists = SlowLists {
+            words: Vec::new(),
+            offsets: vec![0],
+            targets: Vec::new(),
         };
+        for (w, &kind) in class.iter().enumerate() {
+            if kind == WordClass::Slow {
+                lists.words.push(w as u32);
+                for v in w * 64..(w * 64 + 64).min(len) {
+                    neighbors(v, &mut lists.targets);
+                    lists.offsets.push(lists.targets.len() as u32);
+                }
+            }
+        }
+        lists
     }
-    class
+
+    /// The neighbour lists of slow word `w`'s vertices, lane by lane.
+    fn of_word(&self, w: u32) -> impl Iterator<Item = &[u32]> {
+        let s = self.words.binary_search(&w).expect("a slow word");
+        let first = s * 64;
+        let end = (first + 64).min(self.offsets.len() - 1);
+        (first..end).map(|r| &self.targets[self.offsets[r] as usize..self.offsets[r + 1] as usize])
+    }
 }
 
 /// The words a funnel [`gather`] at bit `base` reads on the lanes in
@@ -418,9 +476,8 @@ fn gathered_words(base: usize, lanes: u64) -> impl Iterator<Item = u32> {
 ///
 /// A fast or wrap word's neighbours are exactly the bits its vector
 /// kernel gathers, so its list comes from the gather bases and lane
-/// masks alone; only slow words walk the CSR.
-fn dirty_table(adjacency: &Adjacency, cols: usize, class: &[WordClass]) -> (Vec<u32>, Vec<u32>) {
-    let len = adjacency.node_count();
+/// masks alone; only slow words walk their stored lists.
+fn dirty_table(cols: usize, class: &[WordClass], slow: &SlowLists) -> (Vec<u32>, Vec<u32>) {
     let mut offsets = Vec::with_capacity(class.len() + 1);
     offsets.push(0u32);
     let mut words: Vec<u32> = Vec::with_capacity(class.len() * 4);
@@ -434,10 +491,8 @@ fn dirty_table(adjacency: &Adjacency, cols: usize, class: &[WordClass]) -> (Vec<
         let base = w * 64;
         match kind {
             WordClass::Slow => {
-                for v in base..(base + 64).min(len) {
-                    for &u in adjacency.neighbors_raw(v) {
-                        add(u >> 6);
-                    }
+                for &u in slow.of_word(w as u32).flatten() {
+                    add(u >> 6);
                 }
             }
             WordClass::Fast | WordClass::Wrap { .. } => {
@@ -469,9 +524,10 @@ fn dirty_table(adjacency: &Adjacency, cols: usize, class: &[WordClass]) -> (Vec<
 /// Construction compiles a [`ColorCountRule`] and an initial configuration
 /// of at most 16 distinct colours down to palette codes; stepping then
 /// evaluates 64 vertices per word against the pre-round planes (see the
-/// [module docs](crate::planes) for the kernel).  The adjacency is passed
-/// to [`PlaneLane::step`] rather than owned, so one CSR can serve many
-/// lanes.
+/// [module docs](crate::planes) for the kernel).  The lane owns all the
+/// structure it reads: its word classes, the neighbour lists of its slow
+/// words and the word-level dirty table, so [`PlaneLane::step`] needs no
+/// CSR.
 #[derive(Clone, Debug)]
 pub struct PlaneLane {
     /// `planes[p]` holds bit `p` of every vertex code; tail bits past
@@ -489,10 +545,12 @@ pub struct PlaneLane {
     /// Per-word evaluation class (vector kernel, patched vector kernel,
     /// or exact per-vertex fallback).
     class: Vec<WordClass>,
+    /// The neighbour lists the exact per-vertex path reads.
+    slow: SlowLists,
     /// Word-granular dirty propagation: `mark_words[mark_offsets[w]..
     /// mark_offsets[w + 1]]` are the *other* words holding a neighbour of
     /// some vertex of word `w`, so a changed word marks a handful of words
-    /// instead of walking the CSR per flip.
+    /// instead of walking neighbour lists per flip.
     mark_offsets: Vec<u32>,
     mark_words: Vec<u32>,
     /// Tile geometry `(rows, words_per_row)` when the torus rows are
@@ -529,25 +587,51 @@ pub struct PlaneLane {
 }
 
 impl PlaneLane {
-    /// Compiles a configuration and rule into a plane lane.
+    /// Compiles a configuration and rule into a plane lane over one of the
+    /// paper's tori.
     ///
-    /// `cols` is the torus row stride used to recognise interior words
-    /// (pass the column count of the grid; any value is *safe* — words
-    /// not matching the interior pattern just take the exact per-vertex
-    /// path).  Returns `None` when the configuration has no vertices or
-    /// more than 16 distinct colours, when the rule could introduce a
-    /// colour outside the initial palette (an absent activation colour
-    /// with a zero threshold), or when it resolves ties towards a colour
-    /// with `min_pair < 2` (a singleton tie the degree-4 kernel does not
-    /// model), in which cases the caller should stay on the generic
-    /// backend.
+    /// Words are classified from the torus's wrap rule, and only the
+    /// vertices of slow words (the two boundary rows and the partial tail
+    /// word) get stored neighbour lists, read off
+    /// [`Torus::neighbor_ids`]; no CSR is built.  Returns `None` when the
+    /// configuration has more than 16 distinct colours, when the rule
+    /// could introduce a colour outside the initial palette (an absent
+    /// activation colour with a zero threshold), or when it resolves ties
+    /// towards a colour with `min_pair < 2` (a singleton tie the degree-4
+    /// kernel does not model), in which cases the caller should stay on
+    /// the generic backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the torus and configuration sizes differ.
+    pub fn for_torus(torus: &Torus, colors: &[Color], rule: &ColorCountRule) -> Option<PlaneLane> {
+        assert_eq!(
+            torus.node_count(),
+            colors.len(),
+            "torus does not match the configuration"
+        );
+        PlaneLane::compile(colors, rule, torus.cols(), || {
+            let class = classify_torus(torus);
+            let slow = SlowLists::collect(&class, colors.len(), |v, out| {
+                out.extend(torus.neighbor_ids(NodeId::new(v)).map(|u| u.index() as u32));
+            });
+            (class, slow)
+        })
+    }
+
+    /// Compiles a configuration and rule into a plane lane over a general
+    /// graph's CSR.
+    ///
+    /// A graph has no torus rows, so every word is slow: the lane copies
+    /// the CSR's lists and evaluates every vertex exactly, at any degree.
+    /// Returns `None` in the cases [`PlaneLane::for_torus`] does, and for
+    /// an empty configuration.
     ///
     /// # Panics
     ///
     /// Panics if the adjacency and configuration lengths differ.
-    pub fn from_colors(
+    pub fn for_graph(
         adjacency: &Adjacency,
-        cols: usize,
         colors: &[Color],
         rule: &ColorCountRule,
     ) -> Option<PlaneLane> {
@@ -557,6 +641,26 @@ impl PlaneLane {
             len,
             "adjacency does not match the configuration"
         );
+        // The row stride is the whole graph, as for a 1 × len grid.
+        PlaneLane::compile(colors, rule, len, || {
+            let class = vec![WordClass::Slow; len.div_ceil(64)];
+            let slow = SlowLists::collect(&class, len, |v, out| {
+                out.extend_from_slice(adjacency.neighbors_raw(v));
+            });
+            (class, slow)
+        })
+    }
+
+    /// Compiles the rule and packs the planes, then lays the words out
+    /// with `layout` (their classes and slow-word lists) once the lane is
+    /// known to be eligible.
+    fn compile(
+        colors: &[Color],
+        rule: &ColorCountRule,
+        cols: usize,
+        layout: impl FnOnce() -> (Vec<WordClass>, SlowLists),
+    ) -> Option<PlaneLane> {
+        let len = colors.len();
         let palette = palette_of(colors)?;
         let code_of_color = |c: Color| palette.binary_search(&c).ok().map(|i| i as u8);
         let decision = match rule.form() {
@@ -592,8 +696,8 @@ impl PlaneLane {
         };
         let words = len.div_ceil(64);
         let (planes, census) = pack_planes(colors, &palette, plane_count);
-        let class = classify_words(adjacency, cols);
-        let (mark_offsets, mark_words) = dirty_table(adjacency, cols, &class);
+        let (class, slow) = layout();
+        let (mark_offsets, mark_words) = dirty_table(cols, &class, &slow);
         let tile_geometry = if cols >= 64 && cols.is_multiple_of(64) && len.is_multiple_of(cols) {
             Some((len / cols, cols / 64))
         } else {
@@ -609,6 +713,7 @@ impl PlaneLane {
             palette,
             census,
             class,
+            slow,
             mark_offsets,
             mark_words,
             tile_geometry,
@@ -825,11 +930,11 @@ impl PlaneLane {
     }
 
     /// Evaluates one word against the pre-round planes.
-    fn eval_word(&self, adjacency: &Adjacency, w: u32) -> Option<Patch> {
+    fn eval_word(&self, w: u32) -> Option<Patch> {
         match self.class[w as usize] {
             WordClass::Fast => self.eval_vector(w, 0, 0),
             WordClass::Wrap { west, east } => self.eval_vector(w, west, east),
-            WordClass::Slow => self.eval_slow(adjacency, w),
+            WordClass::Slow => self.eval_slow(w),
         }
     }
 
@@ -984,26 +1089,26 @@ impl PlaneLane {
 
     /// The exact per-vertex path for boundary words, the partial tail
     /// word and non-torus structure: counts neighbour codes straight off
-    /// the CSR, at any degree.
-    fn eval_slow(&self, adjacency: &Adjacency, w: u32) -> Option<Patch> {
+    /// the word's stored lists, at any degree.
+    fn eval_slow(&self, w: u32) -> Option<Patch> {
         let wi = w as usize;
         let start = wi * 64;
-        let end = (start + 64).min(self.len);
         let mut changed = 0u64;
         let mut old = [0u64; MAX_PLANES];
         for (p, plane) in self.planes.iter().enumerate() {
             old[p] = plane[wi];
         }
         let mut new = old;
-        for v in start..end {
+        for (lane, neighbors) in self.slow.of_word(w).enumerate() {
+            let v = start + lane;
             let own = self.code_of(v);
             let mut counts = [0u32; MAX_PALETTE];
-            for &u in adjacency.neighbors_raw(v) {
+            for &u in neighbors {
                 counts[self.code_of(u as usize) as usize] += 1;
             }
             let next = self.decide_one(own, &counts);
             if next != own {
-                let bit = 1u64 << (v - start);
+                let bit = 1u64 << lane;
                 changed |= bit;
                 for (p, slot) in new.iter_mut().enumerate().take(self.plane_count) {
                     if (next >> p) & 1 == 1 {
@@ -1077,7 +1182,6 @@ impl PlaneLane {
     /// streams in linear word order.
     fn eval_dense_range(
         &self,
-        adjacency: &Adjacency,
         start_w: usize,
         end_w: usize,
         out: &mut Vec<Patch>,
@@ -1096,7 +1200,7 @@ impl PlaneLane {
                         for r in tile_row..(tile_row + TILE_ROWS).min(row1) {
                             for wc in tile_col..(tile_col + TILE_WORD_COLS).min(words_per_row) {
                                 let w = (r * words_per_row + wc) as u32;
-                                if let Some(p) = self.eval_word(adjacency, w) {
+                                if let Some(p) = self.eval_word(w) {
                                     delta.account(&p, pc, k);
                                     out.push(p);
                                 }
@@ -1107,7 +1211,7 @@ impl PlaneLane {
             }
             _ => {
                 for w in start_w..end_w {
-                    if let Some(p) = self.eval_word(adjacency, w as u32) {
+                    if let Some(p) = self.eval_word(w as u32) {
                         delta.account(&p, pc, k);
                         out.push(p);
                     }
@@ -1117,17 +1221,11 @@ impl PlaneLane {
     }
 
     /// The worklist path over one band's candidate bucket.
-    fn eval_candidates(
-        &self,
-        adjacency: &Adjacency,
-        cands: &[u32],
-        out: &mut Vec<Patch>,
-        delta: &mut BandDelta,
-    ) {
+    fn eval_candidates(&self, cands: &[u32], out: &mut Vec<Patch>, delta: &mut BandDelta) {
         let pc = self.plane_count;
         let k = self.palette.len();
         for &w in cands {
-            if let Some(p) = self.eval_word(adjacency, w) {
+            if let Some(p) = self.eval_word(w) {
                 delta.account(&p, pc, k);
                 out.push(p);
             }
@@ -1148,12 +1246,7 @@ impl PlaneLane {
     /// evaluation is a no-op), so the dense superset yields the identical
     /// patch set.  Changes are available through [`PlaneLane::flips`]
     /// until the next step.
-    pub fn step(&mut self, adjacency: &Adjacency) -> usize {
-        assert_eq!(
-            adjacency.node_count(),
-            self.len,
-            "adjacency does not match the lane"
-        );
+    pub fn step(&mut self) -> usize {
         self.ensure_plan();
         self.flipped = 0;
         let full = self.worklist.is_full_round();
@@ -1206,9 +1299,9 @@ impl PlaneLane {
             |band, start, end, out| {
                 let mut delta = BandDelta::default();
                 if dense[band] {
-                    lane.eval_dense_range(adjacency, start, end, out, &mut delta);
+                    lane.eval_dense_range(start, end, out, &mut delta);
                 } else {
-                    lane.eval_candidates(adjacency, &band_cands[band], out, &mut delta);
+                    lane.eval_candidates(&band_cands[band], out, &mut delta);
                 }
                 if lane.hash.is_some() {
                     delta.rekey(out, lane.plane_count);
@@ -1257,7 +1350,7 @@ impl PlaneLane {
         if !self.worklist.always_full() {
             // Word-granular propagation: a changed word dirties itself and
             // the handful of words holding neighbours of its vertices
-            // (a safe superset of the per-flip marks, with no CSR walk).
+            // (a safe superset of the per-flip marks, with no list walk).
             for patch in self.band_patches.iter().flatten() {
                 let w = patch.word;
                 self.worklist.mark(w);
@@ -1276,7 +1369,7 @@ impl PlaneLane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ctori_topology::{Torus, TorusKind};
+    use ctori_topology::Graph;
 
     fn c(i: u16) -> Color {
         Color::new(i)
@@ -1331,11 +1424,10 @@ mod tests {
         let torus = Torus::new(kind, m, n);
         let adjacency = Adjacency::from_torus(&torus);
         let mut colors = scatter_colors(m * n, palette, 0x5EED ^ (m * 31 + n) as u64);
-        let mut lane =
-            PlaneLane::from_colors(&adjacency, n, &colors, &rule).expect("palette fits the lane");
+        let mut lane = PlaneLane::for_torus(&torus, &colors, &rule).expect("palette fits the lane");
         for round in 0..12 {
             let expected = reference_round(&adjacency, &rule, &colors);
-            let flips = lane.step(&adjacency);
+            let flips = lane.step();
             let changed = expected.iter().zip(&colors).filter(|(a, b)| a != b).count();
             assert_eq!(flips, changed, "flip count diverges at round {round}");
             assert_eq!(lane.snapshot(), expected, "state diverges at round {round}");
@@ -1378,10 +1470,9 @@ mod tests {
         check_lane_matches_reference(TorusKind::ToroidalMesh, 16, 16, 2, rule);
         // A singleton tie would need a 1-1-1-1 mask the kernel lacks.
         let torus = Torus::new(TorusKind::ToroidalMesh, 4, 4);
-        let adjacency = Adjacency::from_torus(&torus);
         let colors = scatter_colors(16, 3, 5);
         let singleton = ColorCountRule::plurality(1).with_tie_to(c(2));
-        assert!(PlaneLane::from_colors(&adjacency, 4, &colors, &singleton).is_none());
+        assert!(PlaneLane::for_torus(&torus, &colors, &singleton).is_none());
     }
 
     #[test]
@@ -1418,12 +1509,11 @@ mod tests {
     #[test]
     fn census_and_histogram_stay_consistent() {
         let torus = Torus::new(TorusKind::ToroidalMesh, 8, 64);
-        let adjacency = Adjacency::from_torus(&torus);
         let colors = scatter_colors(8 * 64, 7, 99);
         let rule = ColorCountRule::plurality(2);
-        let mut lane = PlaneLane::from_colors(&adjacency, 64, &colors, &rule).unwrap();
+        let mut lane = PlaneLane::for_torus(&torus, &colors, &rule).unwrap();
         for _ in 0..8 {
-            lane.step(&adjacency);
+            lane.step();
             let snapshot = lane.snapshot();
             for &color in lane.palette() {
                 let expected = snapshot.iter().filter(|&&x| x == color).count();
@@ -1439,15 +1529,14 @@ mod tests {
     #[test]
     fn frontier_and_full_sweep_agree() {
         let torus = Torus::new(TorusKind::TorusSerpentinus, 9, 67);
-        let adjacency = Adjacency::from_torus(&torus);
         let colors = scatter_colors(9 * 67, 4, 7);
         let rule = ColorCountRule::plurality(2);
-        let mut frontier = PlaneLane::from_colors(&adjacency, 67, &colors, &rule).unwrap();
-        let mut full = PlaneLane::from_colors(&adjacency, 67, &colors, &rule).unwrap();
+        let mut frontier = PlaneLane::for_torus(&torus, &colors, &rule).unwrap();
+        let mut full = PlaneLane::for_torus(&torus, &colors, &rule).unwrap();
         full.set_always_full();
         for round in 0..20 {
-            let a = frontier.step(&adjacency);
-            let b = full.step(&adjacency);
+            let a = frontier.step();
+            let b = full.step();
             assert_eq!(a, b, "flip counts diverge at round {round}");
             assert_eq!(
                 frontier.snapshot(),
@@ -1465,15 +1554,14 @@ mod tests {
         // dense→sparse threshold per band.
         for kind in TorusKind::ALL {
             let torus = Torus::new(kind, 12, 128);
-            let adjacency = Adjacency::from_torus(&torus);
             let colors = scatter_colors(12 * 128, 5, 0xBAD5EED);
             let rule = ColorCountRule::plurality(2);
-            let mut seq = PlaneLane::from_colors(&adjacency, 128, &colors, &rule).unwrap();
-            let mut par = PlaneLane::from_colors(&adjacency, 128, &colors, &rule).unwrap();
+            let mut seq = PlaneLane::for_torus(&torus, &colors, &rule).unwrap();
+            let mut par = PlaneLane::for_torus(&torus, &colors, &rule).unwrap();
             par.set_threads(3);
             for round in 0..16 {
-                let a = seq.step(&adjacency);
-                let b = par.step(&adjacency);
+                let a = seq.step();
+                let b = par.step();
                 assert_eq!(a, b, "{kind:?}: flip counts diverge at round {round}");
                 assert_eq!(
                     seq.snapshot(),
@@ -1496,7 +1584,6 @@ mod tests {
         // first frontier rounds are near-full (dense crossover fires),
         // later rounds go sparse; an always-full lane pins the reference.
         let torus = Torus::new(TorusKind::ToroidalMesh, 16, 64);
-        let adjacency = Adjacency::from_torus(&torus);
         let mut colors = vec![c(1); 16 * 64];
         for (i, slot) in colors.iter_mut().enumerate().take(6 * 64).skip(4 * 64) {
             if i % 3 == 0 {
@@ -1504,15 +1591,15 @@ mod tests {
             }
         }
         let rule = ColorCountRule::plurality(2);
-        let mut hybrid = PlaneLane::from_colors(&adjacency, 64, &colors, &rule).unwrap();
+        let mut hybrid = PlaneLane::for_torus(&torus, &colors, &rule).unwrap();
         hybrid.set_threads(2);
-        let mut full = PlaneLane::from_colors(&adjacency, 64, &colors, &rule).unwrap();
+        let mut full = PlaneLane::for_torus(&torus, &colors, &rule).unwrap();
         full.set_always_full();
         let mut saw_dense = false;
         let mut saw_sparse = false;
         for round in 0..24 {
-            let a = hybrid.step(&adjacency);
-            let b = full.step(&adjacency);
+            let a = hybrid.step();
+            let b = full.step();
             assert_eq!(a, b, "flip counts diverge at round {round}");
             assert_eq!(hybrid.snapshot(), full.snapshot());
             let (dense, sparse, cells) = hybrid.last_step_profile();
@@ -1528,32 +1615,23 @@ mod tests {
     #[test]
     fn oversized_palettes_are_rejected() {
         let torus = Torus::new(TorusKind::ToroidalMesh, 5, 5);
-        let adjacency = Adjacency::from_torus(&torus);
         let colors: Vec<Color> = (0..25).map(|v| c(1 + (v % 17) as u16)).collect();
-        assert!(
-            PlaneLane::from_colors(&adjacency, 5, &colors, &ColorCountRule::plurality(2)).is_none()
-        );
+        assert!(PlaneLane::for_torus(&torus, &colors, &ColorCountRule::plurality(2)).is_none());
     }
 
     #[test]
     fn absent_zero_threshold_activation_is_rejected() {
         let torus = Torus::new(TorusKind::ToroidalMesh, 4, 4);
-        let adjacency = Adjacency::from_torus(&torus);
         let colors = vec![c(1); 16];
         // Active colour 9 is absent; threshold 0 would recolour everything
         // to it — outside the palette, so the lane must refuse.
-        assert!(PlaneLane::from_colors(
-            &adjacency,
-            4,
-            &colors,
-            &ColorCountRule::activation(c(9), 0)
-        )
-        .is_none());
+        assert!(
+            PlaneLane::for_torus(&torus, &colors, &ColorCountRule::activation(c(9), 0)).is_none()
+        );
         // With a positive threshold the lane is simply inert.
         let mut lane =
-            PlaneLane::from_colors(&adjacency, 4, &colors, &ColorCountRule::activation(c(9), 1))
-                .unwrap();
-        assert_eq!(lane.step(&adjacency), 0);
+            PlaneLane::for_torus(&torus, &colors, &ColorCountRule::activation(c(9), 1)).unwrap();
+        assert_eq!(lane.step(), 0);
         assert_eq!(lane.monochromatic(), Some(c(1)));
     }
 
@@ -1572,11 +1650,9 @@ mod tests {
             (TorusKind::TorusSerpentinus, 6 * 4, 0),
         ] {
             let torus = Torus::new(kind, 8, 256);
-            let adjacency = Adjacency::from_torus(&torus);
             let colors = scatter_colors(8 * 256, 3, 3);
             let lane =
-                PlaneLane::from_colors(&adjacency, 256, &colors, &ColorCountRule::plurality(2))
-                    .unwrap();
+                PlaneLane::for_torus(&torus, &colors, &ColorCountRule::plurality(2)).unwrap();
             let fast_words = lane.class.iter().filter(|&&c| c == WordClass::Fast).count();
             let wrap_words = lane
                 .class
@@ -1597,10 +1673,8 @@ mod tests {
         // whose west neighbour wraps to (row, n-1); the last word's lane
         // 63 is column n-1, whose east neighbour wraps to (row, 0).
         let torus = Torus::new(TorusKind::ToroidalMesh, 4, 128);
-        let adjacency = Adjacency::from_torus(&torus);
         let colors = scatter_colors(4 * 128, 3, 11);
-        let lane = PlaneLane::from_colors(&adjacency, 128, &colors, &ColorCountRule::plurality(2))
-            .unwrap();
+        let lane = PlaneLane::for_torus(&torus, &colors, &ColorCountRule::plurality(2)).unwrap();
         // Row 1 spans words 2 and 3.
         assert_eq!(lane.class[2], WordClass::Wrap { west: 1, east: 0 });
         assert_eq!(
@@ -1613,15 +1687,153 @@ mod tests {
         // On a 16-wide mesh a word holds four rows, hence four wrap lanes
         // each way; only the words touching row 0 or row 15 stay slow.
         let torus = Torus::new(TorusKind::ToroidalMesh, 16, 16);
-        let adjacency = Adjacency::from_torus(&torus);
         let colors = scatter_colors(16 * 16, 2, 11);
-        let lane =
-            PlaneLane::from_colors(&adjacency, 16, &colors, &ColorCountRule::plurality(2)).unwrap();
+        let lane = PlaneLane::for_torus(&torus, &colors, &ColorCountRule::plurality(2)).unwrap();
         let rows = WordClass::Wrap {
             west: 0x0001_0001_0001_0001,
             east: 0x8000_8000_8000_8000,
         };
         assert_eq!(lane.class, [WordClass::Slow, rows, rows, WordClass::Slow]);
+    }
+
+    /// The reference classification: every word checked against the
+    /// shared interior pattern `[v-cols, v+cols, v-1, v+1]` by walking the
+    /// CSR, in i64 so grid-edge vertices can never match accidentally.  A
+    /// full word whose only deviations are toroidal-mesh row-wrap lanes is
+    /// a wrap word.
+    fn classify_words(adjacency: &Adjacency, cols: usize) -> Vec<WordClass> {
+        let len = adjacency.node_count();
+        let mut class = vec![WordClass::Slow; len.div_ceil(64)];
+        let stride = cols as i64;
+        'words: for (w, slot) in class.iter_mut().enumerate() {
+            let start = w * 64;
+            if start + 64 > len {
+                continue;
+            }
+            let (mut west, mut east) = (0u64, 0u64);
+            for v in start..start + 64 {
+                let nbrs = adjacency.neighbors_raw(v);
+                let vi = v as i64;
+                if nbrs.len() != 4
+                    || i64::from(nbrs[0]) != vi - stride
+                    || i64::from(nbrs[1]) != vi + stride
+                {
+                    continue 'words;
+                }
+                let lane = 1u64 << (v - start);
+                match i64::from(nbrs[2]) - vi {
+                    -1 => {}
+                    d if d == stride - 1 => west |= lane,
+                    _ => continue 'words,
+                }
+                match i64::from(nbrs[3]) - vi {
+                    1 => {}
+                    d if d == 1 - stride => east |= lane,
+                    _ => continue 'words,
+                }
+            }
+            *slot = if west | east == 0 {
+                WordClass::Fast
+            } else {
+                WordClass::Wrap { west, east }
+            };
+        }
+        class
+    }
+
+    /// The tori the arithmetic layout is checked on: two- and three-row
+    /// tori, and widths below, at and past one, two and three words.
+    fn layout_grid() -> impl Iterator<Item = Torus> {
+        TorusKind::ALL.into_iter().flat_map(|kind| {
+            [2, 3, 4, 5, 7, 17, 33].into_iter().flat_map(move |m| {
+                [2, 3, 5, 31, 32, 33, 63, 64, 65, 127, 128, 130, 200]
+                    .into_iter()
+                    .map(move |n| Torus::new(kind, m, n))
+            })
+        })
+    }
+
+    #[test]
+    fn arithmetic_classification_matches_the_csr_walk() {
+        let mut census = (0, 0, 0);
+        for torus in layout_grid() {
+            let class = classify_torus(&torus);
+            let walked = classify_words(&Adjacency::from_torus(&torus), torus.cols());
+            assert_eq!(class, walked, "{torus}");
+            for kind in class {
+                match kind {
+                    WordClass::Fast => census.0 += 1,
+                    WordClass::Wrap { .. } => census.1 += 1,
+                    WordClass::Slow => census.2 += 1,
+                }
+            }
+        }
+        assert!(
+            census.0 > 0 && census.1 > 0 && census.2 > 0,
+            "every word class is covered: {census:?}"
+        );
+    }
+
+    #[test]
+    fn slow_words_store_the_csr_rows_of_their_vertices() {
+        for torus in layout_grid() {
+            let adjacency = Adjacency::from_torus(&torus);
+            let colors = scatter_colors(torus.node_count(), 3, torus.cols() as u64);
+            let lane =
+                PlaneLane::for_torus(&torus, &colors, &ColorCountRule::plurality(2)).unwrap();
+            let slow: Vec<u32> = (0..lane.words as u32)
+                .filter(|&w| lane.class[w as usize] == WordClass::Slow)
+                .collect();
+            assert_eq!(lane.slow.words, slow, "{torus}: slow words");
+            let mut rows = 0;
+            for &w in &slow {
+                let first = w as usize * 64;
+                let csr: Vec<&[u32]> = (first..(first + 64).min(lane.len))
+                    .map(|v| adjacency.neighbors_raw(v))
+                    .collect();
+                let stored: Vec<&[u32]> = lane.slow.of_word(w).collect();
+                assert_eq!(stored, csr, "{torus}: word {w}");
+                rows += csr.len();
+            }
+            assert_eq!(lane.slow.offsets.len(), rows + 1, "{torus}: stored rows");
+        }
+    }
+
+    #[test]
+    fn graph_lanes_are_all_slow_and_match_the_reference() {
+        // A cycle with chords from every third vertex: degrees 2 to 4.
+        let n = 150;
+        let mut graph = Graph::with_nodes(n);
+        for v in 0..n {
+            graph.add_edge(NodeId::new(v), NodeId::new((v + 1) % n));
+            let chord = (v * 7 + 11) % n;
+            if v % 3 == 0 && chord != v {
+                graph.add_edge(NodeId::new(v), NodeId::new(chord));
+            }
+        }
+        let adjacency = Adjacency::build(&graph);
+        assert_eq!(adjacency.uniform_degree(), None);
+        let colors = scatter_colors(n, 3, 5);
+        for rule in [
+            ColorCountRule::plurality(2),
+            ColorCountRule::activation(c(1), 2),
+        ] {
+            let mut lane = PlaneLane::for_graph(&adjacency, &colors, &rule).unwrap();
+            assert!(lane.class.iter().all(|&k| k == WordClass::Slow));
+            let mut expected = colors.clone();
+            for round in 0..8 {
+                expected = reference_round(&adjacency, &rule, &expected);
+                lane.step();
+                assert_eq!(lane.snapshot(), expected, "{rule:?}: round {round}");
+            }
+        }
+        // A torus CSR taken as a graph: its interior words match the
+        // pattern at stride n, never at the graph's stride.
+        let torus = Torus::new(TorusKind::ToroidalMesh, 8, 256);
+        let colors = scatter_colors(8 * 256, 3, 3);
+        let rule = ColorCountRule::plurality(2);
+        let lane = PlaneLane::for_graph(&Adjacency::from_torus(&torus), &colors, &rule).unwrap();
+        assert!(lane.class.iter().all(|&k| k == WordClass::Slow));
     }
 
     /// Asserts that every word's dirty-mark list holds exactly the other
@@ -1663,7 +1875,7 @@ mod tests {
             let torus = Torus::new(kind, m, n);
             let adjacency = Adjacency::from_torus(&torus);
             let colors = scatter_colors(m * n, 3, (m * 131 + n) as u64);
-            let lane = PlaneLane::from_colors(&adjacency, n, &colors, &rule).unwrap();
+            let lane = PlaneLane::for_torus(&torus, &colors, &rule).unwrap();
             let (fast, wrap, slow) = check_dirty_lists(&adjacency, &lane);
             totals = (totals.0 + fast, totals.1 + wrap, totals.2 + slow);
         };
@@ -1680,13 +1892,13 @@ mod tests {
             "every word class is covered: {totals:?}"
         );
 
-        // A 1 × n lane, as `Simulator::with_plane_lane` builds it over a
-        // flat state: the row stride is the whole grid, so every word is
-        // slow and walks the CSR.
+        // A lane over a graph CSR, as `Simulator::with_plane_lane` builds
+        // it over a flat state: the row stride is the whole graph, so
+        // every word is slow and walks lists copied from the CSR.
         let torus = Torus::new(TorusKind::TorusCordalis, 5, 67);
         let adjacency = Adjacency::from_torus(&torus);
         let colors = scatter_colors(5 * 67, 4, 21);
-        let lane = PlaneLane::from_colors(&adjacency, 5 * 67, &colors, &rule).unwrap();
+        let lane = PlaneLane::for_graph(&adjacency, &colors, &rule).unwrap();
         let (fast, wrap, slow) = check_dirty_lists(&adjacency, &lane);
         assert_eq!((fast, wrap, slow), (0, 0, lane.words));
     }
@@ -1698,17 +1910,16 @@ mod tests {
         // function of the configuration: a period-2 blinker returns to
         // its first value.
         let torus = Torus::new(TorusKind::ToroidalMesh, 12, 128);
-        let adjacency = Adjacency::from_torus(&torus);
         let colors = scatter_colors(12 * 128, 5, 77);
         let rule = ColorCountRule::plurality(2);
         for threads in [1, 3] {
-            let mut lane = PlaneLane::from_colors(&adjacency, 128, &colors, &rule).unwrap();
+            let mut lane = PlaneLane::for_torus(&torus, &colors, &rule).unwrap();
             lane.set_threads(threads);
             assert_eq!(lane.state_hash(), None, "off until switched on");
-            lane.step(&adjacency);
+            lane.step();
             lane.enable_hash();
             for round in 0..10 {
-                lane.step(&adjacency);
+                lane.step();
                 let mut fresh = lane.clone();
                 fresh.hash = None;
                 fresh.enable_hash();
@@ -1718,12 +1929,12 @@ mod tests {
         let checkerboard: Vec<Color> = (0..12 * 128)
             .map(|v| c(1 + ((v / 128 + v % 128) % 2) as u16))
             .collect();
-        let mut lane = PlaneLane::from_colors(&adjacency, 128, &checkerboard, &rule).unwrap();
+        let mut lane = PlaneLane::for_torus(&torus, &checkerboard, &rule).unwrap();
         lane.enable_hash();
         let start = lane.state_hash();
-        assert_eq!(lane.step(&adjacency), 12 * 128);
+        assert_eq!(lane.step(), 12 * 128);
         assert_ne!(lane.state_hash(), start);
-        lane.step(&adjacency);
+        lane.step();
         assert_eq!(lane.state_hash(), start);
     }
 
@@ -1731,22 +1942,18 @@ mod tests {
     fn snapshot_decodes_every_palette_size() {
         for palette in [1, 2, 3, 5, 16] {
             let torus = Torus::new(TorusKind::TorusSerpentinus, 7, 61);
-            let adjacency = Adjacency::from_torus(&torus);
             let colors = scatter_colors(7 * 61, palette, u64::from(palette));
             let lane =
-                PlaneLane::from_colors(&adjacency, 61, &colors, &ColorCountRule::plurality(2))
-                    .unwrap();
+                PlaneLane::for_torus(&torus, &colors, &ColorCountRule::plurality(2)).unwrap();
             assert_eq!(lane.snapshot(), colors, "palette {palette}");
             let expected: Vec<Color> = (0..colors.len()).map(|v| lane.color_at(v)).collect();
             assert_eq!(lane.snapshot(), expected);
         }
         // The unset sentinel is a colour index like any other to the lane.
         let torus = Torus::new(TorusKind::ToroidalMesh, 4, 4);
-        let adjacency = Adjacency::from_torus(&torus);
         let mut colors = scatter_colors(16, 2, 9);
         colors[5] = Color::UNSET;
-        let lane =
-            PlaneLane::from_colors(&adjacency, 4, &colors, &ColorCountRule::plurality(2)).unwrap();
+        let lane = PlaneLane::for_torus(&torus, &colors, &ColorCountRule::plurality(2)).unwrap();
         assert_eq!(lane.palette()[0], Color::UNSET);
         assert_eq!(lane.snapshot(), colors);
     }

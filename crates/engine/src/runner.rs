@@ -455,7 +455,7 @@ impl Runner {
         let rule = spec.rule.resolve();
         let config = spec.options.run_config();
         let mut sim = build_simulator(spec, rule);
-        let step_threads = self.resolve_step_threads(spec, sim.adjacency().node_count());
+        let step_threads = self.resolve_step_threads(spec, sim.node_count());
         sim.set_step_threads(step_threads);
         observer.on_start(&sim.view());
         // Deliberate timing code: the outcome reports total run time.

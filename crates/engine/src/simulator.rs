@@ -19,6 +19,7 @@ use ctori_coloring::{Color, Coloring};
 use ctori_protocols::LocalRule;
 use ctori_topology::{Adjacency, NodeId, NodeSet, Topology, Torus};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// How a run terminated.
 ///
@@ -184,16 +185,39 @@ fn eval_one<R: LocalRule>(
     }
 }
 
-/// An incremental two-lane synchronous simulator over the shared CSR
-/// kernel.
+/// Where a simulator reads its vertices' neighbours: the torus it was
+/// built from, if any, and the CSR, which a torus builds only on first
+/// use (see [`Simulator`]).
+struct Wiring {
+    torus: Option<Torus>,
+    csr: OnceLock<Adjacency>,
+}
+
+impl Wiring {
+    /// The CSR adjacency, flattened from the torus on the first call.
+    fn csr(&self) -> &Adjacency {
+        self.csr.get_or_init(|| {
+            let torus = self.torus.as_ref();
+            Adjacency::from_torus(torus.expect("graph simulators fill the CSR at construction"))
+        })
+    }
+}
+
+/// An incremental two-lane synchronous simulator over a torus's wrap rule
+/// or a graph's CSR.
 ///
-/// The simulator flattens its topology once into a
-/// [`ctori_topology::Adjacency`] (or borrows a prebuilt one through
-/// [`Simulator::from_adjacency`]) and stores the configuration behind a
-/// [`StateVec`]: a dense colour vector for arbitrary rules and graphs, or
-/// the bit-plane lane ([`crate::planes`]) when the rule advertises a
+/// The simulator stores the configuration behind a [`StateVec`]: a dense
+/// colour vector for arbitrary rules and graphs, or the bit-plane lane
+/// ([`crate::planes`]) when the rule advertises a
 /// [`ctori_protocols::ColorCountRule`] and at most 16 colours are present
-/// on a 4-regular torus of at least two rows.  Stepping is
+/// on one of the paper's tori.  A torus simulator ([`Simulator::new`])
+/// keeps the [`Torus`] and flattens it into a
+/// [`ctori_topology::Adjacency`] CSR only when something reads one — the
+/// generic and full-sweep lanes, the replay that confirms a cycle, or
+/// [`Simulator::adjacency`] — and then only once; the plane lane reads
+/// the wrap rule itself, so a torus run on it never builds the CSR.  A
+/// graph simulator ([`Simulator::from_topology`],
+/// [`Simulator::from_adjacency`]) holds its CSR from the start.  Stepping is
 /// **frontier-incremental**: after the first full round only last round's
 /// changed vertices and their out-neighbours are re-evaluated, so a thin
 /// spreading frontier costs O(frontier) per round instead of O(|V|).
@@ -211,7 +235,7 @@ fn eval_one<R: LocalRule>(
 /// [`Simulator::step`] loop pays nothing for it.  [`Simulator::new`]
 /// takes over the initial colouring's cells without copying them.
 pub struct Simulator<R> {
-    adjacency: Adjacency,
+    wiring: Wiring,
     rule: R,
     rows: usize,
     cols: usize,
@@ -254,9 +278,12 @@ impl<R: LocalRule> Simulator<R> {
             !initial.has_unset_cells(),
             "initial colouring contains unset cells"
         );
-        let adjacency = Adjacency::from_torus(torus);
+        let wiring = Wiring {
+            torus: Some(*torus),
+            csr: OnceLock::new(),
+        };
         let cells = initial.into_cells();
-        Simulator::assemble(adjacency, rule, torus.rows(), torus.cols(), cells)
+        Simulator::assemble(wiring, rule, torus.rows(), torus.cols(), cells)
     }
 
     /// Creates a simulator over an arbitrary topology with a flat state
@@ -271,13 +298,14 @@ impl<R: LocalRule> Simulator<R> {
         Simulator::from_adjacency(adjacency, rule, initial)
     }
 
-    /// Creates a simulator over a prebuilt CSR adjacency, sharing the
-    /// flattening cost across many runs on the same topology.
+    /// Creates a simulator over a prebuilt CSR adjacency, which it takes
+    /// over.
     ///
     /// The state is treated as a flat vector: [`Simulator::coloring`] will
-    /// report a `1 × n` grid.  For grid-shaped reporting on a torus, use
-    /// [`Simulator::new`] (which builds the CSR arithmetically via
-    /// [`Adjacency::from_torus`] and keeps the torus dimensions).
+    /// report a `1 × n` grid, and the automatic lane choice is the generic
+    /// one.  For grid-shaped reporting and the plane lane on a torus, use
+    /// [`Simulator::new`] (which keeps the torus dimensions and builds no
+    /// CSR for the plane lane).
     pub fn from_adjacency(adjacency: Adjacency, rule: R, initial: Vec<Color>) -> Self {
         assert_eq!(
             initial.len(),
@@ -285,19 +313,21 @@ impl<R: LocalRule> Simulator<R> {
             "state length does not match the topology"
         );
         let cols = initial.len();
-        Simulator::assemble(adjacency, rule, 1, cols, initial)
+        let wiring = Wiring {
+            torus: None,
+            csr: OnceLock::from(adjacency),
+        };
+        Simulator::assemble(wiring, rule, 1, cols, initial)
     }
 
-    fn assemble(
-        adjacency: Adjacency,
-        rule: R,
-        rows: usize,
-        cols: usize,
-        cells: Vec<Color>,
-    ) -> Self {
-        let regular4 = adjacency.uniform_degree() == Some(4);
+    fn assemble(wiring: Wiring, rule: R, rows: usize, cols: usize, cells: Vec<Color>) -> Self {
+        // A torus is 4-regular by definition; only a graph is checked.
+        let regular4 = match wiring.torus {
+            Some(_) => true,
+            None => wiring.csr().uniform_degree() == Some(4),
+        };
         let n = cells.len();
-        let state = Self::choose_backend(&adjacency, regular4, &rule, rows, cols, cells);
+        let state = Self::choose_backend(&wiring, &rule, cells);
         let worklist = if state.is_planes() {
             // The plane lane schedules its own (word-granular) frontier.
             Worklist::new(0)
@@ -305,7 +335,7 @@ impl<R: LocalRule> Simulator<R> {
             Worklist::new(n)
         };
         Simulator {
-            adjacency,
+            wiring,
             rule,
             rows,
             cols,
@@ -322,32 +352,33 @@ impl<R: LocalRule> Simulator<R> {
         }
     }
 
-    /// Selects the state backend: the bit-plane lane when the rule has a
-    /// counting form and the run is a 4-regular torus of at least two rows
-    /// with at most 16 colours, and the generic colour vector otherwise.
-    fn choose_backend(
-        adjacency: &Adjacency,
-        regular4: bool,
-        rule: &R,
-        rows: usize,
-        cols: usize,
-        cells: Vec<Color>,
-    ) -> StateVec {
-        if rows >= 2 && regular4 && rows * cols == cells.len() {
-            if let Some(counting) = rule.as_color_count_rule() {
-                // `from_colors` checks the palette bound (≤ 16) and the
-                // counting forms its kernel covers, and bails to the
-                // generic backend past them.
-                if let Some(lane) = PlaneLane::from_colors(adjacency, cols, &cells, &counting) {
-                    return StateVec::Planes {
-                        lane: Box::new(lane),
-                    };
-                }
+    /// Selects the state backend: the bit-plane lane when the run is on a
+    /// torus and [`Simulator::plane_lane`] compiles one, and the generic
+    /// colour vector otherwise.
+    fn choose_backend(wiring: &Wiring, rule: &R, cells: Vec<Color>) -> StateVec {
+        if wiring.torus.is_some() {
+            if let Some(lane) = Self::plane_lane(wiring, rule, &cells) {
+                return StateVec::Planes {
+                    lane: Box::new(lane),
+                };
             }
         }
         StateVec::Generic {
             census: ColorCensus::of(&cells),
             colors: cells,
+        }
+    }
+
+    /// Compiles `colors` and the rule's counting form into a plane lane
+    /// over the torus's wrap rule, or over the CSR of a graph simulator;
+    /// `None` when the rule has no counting form, or when
+    /// [`PlaneLane::for_torus`] bails on the palette (more than 16
+    /// colours) or on a form its kernel does not cover.
+    fn plane_lane(wiring: &Wiring, rule: &R, colors: &[Color]) -> Option<PlaneLane> {
+        let counting = rule.as_color_count_rule()?;
+        match &wiring.torus {
+            Some(torus) => PlaneLane::for_torus(torus, colors, &counting),
+            None => PlaneLane::for_graph(wiring.csr(), colors, &counting),
         }
     }
 
@@ -388,11 +419,12 @@ impl<R: LocalRule> Simulator<R> {
     }
 
     /// Forces the bit-plane lane.  Unlike `lane=auto`, this also accepts
-    /// tori of fewer than two rows and graphs that are not 4-regular
-    /// (non-torus words take the lane's exact per-vertex path); it still
-    /// requires the rule to advertise a [`ctori_protocols::ColorCountRule`]
-    /// the lane covers and at most 16 colours, and leaves the current
-    /// backend in place when the lane is ineligible.
+    /// general graphs, 4-regular or not (every word of a graph takes the
+    /// lane's exact per-vertex path, over lists copied from the CSR); it
+    /// still requires the rule to advertise a
+    /// [`ctori_protocols::ColorCountRule`] the lane covers and at most 16
+    /// colours, and leaves the current backend in place when the lane is
+    /// ineligible.
     ///
     /// # Panics
     ///
@@ -402,20 +434,16 @@ impl<R: LocalRule> Simulator<R> {
         if self.state.is_planes() {
             return self;
         }
-        if let Some(counting) = self.rule.as_color_count_rule() {
-            let colors = self.state.snapshot();
-            if let Some(mut lane) =
-                PlaneLane::from_colors(&self.adjacency, self.cols, &colors, &counting)
-            {
-                if self.full_sweep {
-                    lane.set_always_full();
-                }
-                lane.set_threads(self.step_threads);
-                self.worklist = Worklist::new(0);
-                self.state = StateVec::Planes {
-                    lane: Box::new(lane),
-                };
+        let colors = self.state.snapshot();
+        if let Some(mut lane) = Self::plane_lane(&self.wiring, &self.rule, &colors) {
+            if self.full_sweep {
+                lane.set_always_full();
             }
+            lane.set_threads(self.step_threads);
+            self.worklist = Worklist::new(0);
+            self.state = StateVec::Planes {
+                lane: Box::new(lane),
+            };
         }
         self
     }
@@ -455,9 +483,16 @@ impl<R: LocalRule> Simulator<R> {
         self.state.is_planes()
     }
 
-    /// The CSR adjacency driving the hot loop.
+    /// The CSR adjacency the generic lane steps over.  A torus simulator
+    /// flattens its torus into it on the first call (the plane lane never
+    /// needs it); later calls return the same CSR.
     pub fn adjacency(&self) -> &Adjacency {
-        &self.adjacency
+        self.wiring.csr()
+    }
+
+    /// Number of vertices.
+    pub(crate) fn node_count(&self) -> usize {
+        self.state.len()
     }
 
     /// The number of rounds executed so far.
@@ -539,7 +574,7 @@ impl<R: LocalRule> Simulator<R> {
     pub fn step(&mut self) -> StepReport {
         let (changed, (dense_bands, sparse_bands, cells)) = match &mut self.state {
             StateVec::Planes { lane } => {
-                let flips = lane.step(&self.adjacency);
+                let flips = lane.step();
                 (flips, lane.last_step_profile())
             }
             StateVec::Generic { colors, census } => {
@@ -568,7 +603,7 @@ impl<R: LocalRule> Simulator<R> {
                     (0, bands, candidates.len() as u64)
                 };
                 self.band_changes.resize_with(ranges.len(), Vec::new);
-                let (rule, adjacency, regular4) = (&self.rule, &self.adjacency, self.regular4);
+                let (rule, adjacency, regular4) = (&self.rule, self.wiring.csr(), self.regular4);
                 let frozen: &[Color] = colors;
                 run_bands(&ranges, &mut self.band_changes, |_band, start, end, out| {
                     out.clear();
@@ -610,7 +645,7 @@ impl<R: LocalRule> Simulator<R> {
                 if !self.worklist.always_full() {
                     for &(v, _, _) in changes.clone() {
                         self.worklist.mark(v);
-                        for &u in self.adjacency.neighbors_raw(v as usize) {
+                        for &u in adjacency.neighbors_raw(v as usize) {
                             self.worklist.mark(u);
                         }
                     }
@@ -671,12 +706,13 @@ impl<R: LocalRule> Simulator<R> {
         let n = initial.len();
         let mut current = initial.to_vec();
         let mut next = current.clone();
-        let mut scratch = Vec::with_capacity(self.adjacency.max_degree());
+        let adjacency = self.wiring.csr();
+        let mut scratch = Vec::with_capacity(adjacency.max_degree());
         for _ in start_round..target_round {
             for (v, slot) in next.iter_mut().enumerate() {
                 *slot = eval_one(
                     &self.rule,
-                    &self.adjacency,
+                    adjacency,
                     self.regular4,
                     &current,
                     &mut scratch,
@@ -1018,6 +1054,57 @@ mod tests {
             }
         }
         b.build()
+    }
+
+    #[test]
+    fn plane_lane_runs_build_no_csr_and_other_readers_build_it_once() {
+        // A run with cycle detection to a fixed point (stripes freeze
+        // under SMP), and one to the round limit on a mesh wide enough for
+        // fast, wrap and slow words.
+        let stripes = toroidal_mesh(4, 4);
+        let wide = toroidal_mesh(8, 256);
+        let cases = [
+            (
+                stripes,
+                ctori_coloring::patterns::column_stripes(&stripes, &[Color::new(1), Color::new(2)]),
+                RunConfig::default(),
+                Termination::FixedPoint,
+            ),
+            (
+                wide,
+                slow_absorbing_config(&wide),
+                RunConfig::default().with_max_rounds(1),
+                Termination::RoundLimit,
+            ),
+        ];
+        for (t, coloring, config, termination) in cases {
+            let mut planes = Simulator::new(&t, SmpProtocol, coloring.clone());
+            assert!(planes.uses_plane_lane());
+            assert_eq!(planes.run(&config).termination, termination, "{t}");
+            assert!(
+                planes.wiring.csr.get().is_none(),
+                "{t}: plane lane built a CSR"
+            );
+
+            let mut generic = Simulator::new(&t, SmpProtocol, coloring).with_generic_lane();
+            assert!(generic.wiring.csr.get().is_none(), "{t}: built before use");
+            assert_eq!(generic.run(&config).termination, termination, "{t}");
+            let built: *const Adjacency = generic.wiring.csr.get().expect("generic lane read it");
+            assert_eq!(*generic.adjacency(), Adjacency::from_torus(&t));
+            assert!(std::ptr::eq(built, generic.adjacency()), "{t}: built twice");
+            assert_eq!(planes.snapshot(), generic.snapshot(), "{t}");
+        }
+
+        // A cycle candidate on the plane lane is confirmed by a replay,
+        // which reads the CSR.
+        let t = toroidal_mesh(4, 4);
+        let coloring = ctori_coloring::patterns::checkerboard(&t, Color::new(1), Color::new(2));
+        let mut sim = Simulator::new(&t, SmpProtocol, coloring);
+        assert_eq!(
+            sim.run(&RunConfig::default()).termination,
+            Termination::Cycle { period: 2 }
+        );
+        assert!(sim.wiring.csr.get().is_some());
     }
 
     #[test]

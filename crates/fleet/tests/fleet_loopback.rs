@@ -325,7 +325,13 @@ fn a_remote_bounded_wait_is_a_few_held_results() {
 fn bounded_waits_time_out_then_finish_on_every_backend() {
     let (addr, server) = start_server(1);
     let spec = slow_spec(512);
+    // Every backend's run of the spec outlasts a tenth of a
+    // single-threaded one, so that (at least 1 ms) bounds the first wait
+    // in debug and release builds alike.
+    #[allow(clippy::disallowed_methods)]
+    let started = Instant::now();
     let reference = Runner::with_threads(1).execute(&spec);
+    let bound = (started.elapsed() / 10).max(Duration::from_millis(1));
     let local = LocalExecutor::start(LocalExecutorConfig {
         workers: 1,
         ..LocalExecutorConfig::default()
@@ -340,9 +346,9 @@ fn bounded_waits_time_out_then_finish_on_every_backend() {
         let mut handle = executor
             .submit(&spec, SubmitOptions::default())
             .expect("submit");
-        match handle.wait_timeout(Duration::from_millis(50)) {
+        match handle.wait_timeout(bound) {
             Err(ExecError::NotFinished) => {}
-            other => panic!("{name}: expected NotFinished, got {other:?}"),
+            other => panic!("{name}: expected NotFinished after {bound:?}, got {other:?}"),
         }
         assert_eq!(*handle.wait().expect("job finishes"), reference, "{name}");
     }

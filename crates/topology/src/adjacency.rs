@@ -1,11 +1,13 @@
 //! The shared compressed-sparse-row (CSR) adjacency kernel.
 //!
-//! Every hot loop in the workspace — the synchronous simulator, the
-//! linear-threshold diffusion, the connectivity sweeps — touches each
+//! The loops that walk neighbour lists — the simulator's generic lane,
+//! the linear-threshold diffusion, the connectivity sweeps — touch each
 //! vertex's neighbourhood once per round.  Asking the [`Topology`] trait
 //! for a fresh `Vec<NodeId>` per visit would allocate per vertex per round,
 //! so all of them flatten the adjacency **once** into this structure and
-//! the inner loops become pure slice indexing.
+//! the inner loops become pure slice indexing.  The simulator's bit-plane
+//! lane gathers a torus's neighbours arithmetically from its wrap rule,
+//! so a torus run on it builds no CSR at all.
 //!
 //! [`Adjacency`] is built either generically from any [`Topology`] (via the
 //! non-allocating [`Topology::for_each_neighbor`] walk) or arithmetically

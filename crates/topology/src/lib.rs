@@ -24,8 +24,10 @@
 //!   arithmetic neighbourhood computation (nothing is stored per vertex);
 //! * the [`Topology`] trait — the minimal interface the simulation engine
 //!   needs (vertex count + non-allocating neighbourhood enumeration);
-//! * [`Adjacency`] — the shared CSR kernel every hot loop in the workspace
-//!   (simulator, diffusion, connectivity) flattens its topology into;
+//! * [`Adjacency`] — the CSR kernel the loops that walk neighbour lists
+//!   (the simulator's generic lane, diffusion, connectivity) flatten a
+//!   topology into; the simulator's bit-plane lane reads a [`Torus`]'s
+//!   wrap rule instead and needs none;
 //! * [`Graph`] — a general adjacency-list graph used by the target-set
 //!   selection substrate and by conversions from tori;
 //! * [`generators`] — random graph models (Barabási–Albert, Erdős–Rényi,
@@ -50,7 +52,7 @@
 //! let v = t.id(Coord::new(0, 0));
 //! assert_eq!(t.degree(v), 4);
 //!
-//! // Hot loops flatten the torus once into the shared CSR kernel.
+//! // Loops that walk neighbour lists flatten it once into the CSR kernel.
 //! use ctori_topology::Adjacency;
 //! let adj = Adjacency::from_torus(&t);
 //! assert_eq!(adj.neighbors_raw(v.index()).len(), 4);

@@ -1,9 +1,10 @@
 //! Cross-layer equivalence properties for the shared CSR kernel.
 //!
-//! The workspace routes every simulation data path — the synchronous
-//! engine, the TSS diffusion and the torus topologies — through one
-//! `ctori_topology::Adjacency` CSR.  These properties pin the contract
-//! together across crate boundaries:
+//! Graph simulation — the engine's generic lane and the TSS diffusion —
+//! runs on one `ctori_topology::Adjacency` CSR, and a torus simulator
+//! flattens its torus into one whenever something other than the
+//! bit-plane lane reads neighbour lists.  These properties pin the
+//! contract together across crate boundaries:
 //!
 //! * `engine::Simulator` running `ThresholdRule` and `tss::diffusion::spread`
 //!   must produce identical activation sets *and* identical per-vertex
