@@ -50,7 +50,7 @@ impl Color {
 
     /// A single-character label for rendering: `1..=9` then `a..=z`, `#`
     /// beyond that, `.` for unset.
-    pub fn glyph(self) -> char {
+    pub const fn glyph(self) -> char {
         match self.0 {
             0 => '.',
             1..=9 => (b'0' + self.0 as u8) as char,

@@ -8,22 +8,51 @@
 
 use crate::color::Color;
 use crate::coloring::Coloring;
+use crate::textio::MAX_GLYPH_COLOR;
+
+/// [`Color::glyph`] as a byte for colour indices `0..=MAX_GLYPH_COLOR + 1`;
+/// every larger index shares the last entry's `#`.
+const GLYPH_BYTES: [u8; MAX_GLYPH_COLOR as usize + 2] = {
+    let mut table = [0; MAX_GLYPH_COLOR as usize + 2];
+    let mut index = 0;
+    while index < table.len() {
+        table[index] = Color(index as u16).glyph() as u8;
+        index += 1;
+    }
+    table
+};
 
 /// Renders a colouring as a grid of single-character colour glyphs.
 ///
 /// Colour 1 renders as `1`, …; the unset sentinel renders as `.`.
 pub fn render_coloring(coloring: &Coloring) -> String {
-    let mut out = String::with_capacity(coloring.len() * 2 + coloring.rows());
-    for row in 0..coloring.rows() {
-        for col in 0..coloring.cols() {
-            if col > 0 {
-                out.push(' ');
-            }
-            out.push(coloring.at(row, col).glyph());
-        }
-        out.push('\n');
-    }
+    let mut out = String::new();
+    render_coloring_into(coloring, &mut out);
     out
+}
+
+/// Appends the [`render_coloring`] grid to `out`, written straight into
+/// its buffer: a glyph byte per cell, `' '` between cells and `'\n'`
+/// after each row.
+pub fn render_coloring_into(coloring: &Coloring, out: &mut String) {
+    let (rows, cols) = (coloring.rows(), coloring.cols());
+    if cols == 0 {
+        out.extend(std::iter::repeat_n('\n', rows));
+        return;
+    }
+    let mut bytes = std::mem::take(out).into_bytes();
+    let start = bytes.len();
+    // Each cell is its glyph and a space; a row's last space becomes its
+    // line break.
+    bytes.resize(start + rows * cols * 2, b' ');
+    let lines = bytes[start..].chunks_exact_mut(2 * cols);
+    for (cells, line) in coloring.cells().chunks_exact(cols).zip(lines) {
+        for (cell, pair) in cells.iter().zip(line.chunks_exact_mut(2)) {
+            pair[0] = GLYPH_BYTES[usize::from(cell.index().min(MAX_GLYPH_COLOR + 1))];
+        }
+        line[2 * cols - 1] = b'\n';
+    }
+    *out = String::from_utf8(bytes).expect("glyph grids are ASCII");
 }
 
 /// Renders a colouring highlighting one colour: cells of `highlight` render
@@ -111,6 +140,42 @@ mod tests {
         c.set_at(0, 1, Color::new(2));
         let s = render_coloring(&c);
         assert_eq!(s, "1 2 1\n1 1 1\n");
+    }
+
+    /// The `char`-push renderer [`render_coloring_into`] replaced: the
+    /// reference its output must match byte for byte.
+    fn render_coloring_reference(coloring: &Coloring) -> String {
+        let mut out = String::with_capacity(coloring.len() * 2 + coloring.rows());
+        for row in 0..coloring.rows() {
+            for col in 0..coloring.cols() {
+                if col > 0 {
+                    out.push(' ');
+                }
+                out.push(coloring.at(row, col).glyph());
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    #[test]
+    fn byte_renderer_matches_the_char_reference() {
+        let shapes = [(1, 1), (1, 40), (41, 1), (64, 65), (513, 7), (3, 0), (0, 0)];
+        for (rows, cols) in shapes {
+            for offset in [0, 17] {
+                // Colours 0..=40 cycle through every glyph class: `.`,
+                // digits, letters and `#`.
+                let cells = (0..rows * cols)
+                    .map(|i| Color(((i + offset) % 41) as u16))
+                    .collect();
+                let coloring = Coloring::from_cells(rows, cols, cells);
+                let expected = render_coloring_reference(&coloring);
+                assert_eq!(render_coloring(&coloring), expected, "{rows}x{cols}");
+                let mut appended = String::from("final:\n");
+                render_coloring_into(&coloring, &mut appended);
+                assert_eq!(appended, format!("final:\n{expected}"), "{rows}x{cols}");
+            }
+        }
     }
 
     #[test]

@@ -54,6 +54,10 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The largest colour index with a glyph of its own (`z`).  Larger
+/// colours render as `#`, which does not parse back.
+pub const MAX_GLYPH_COLOR: u16 = 35;
+
 const fn glyph_to_color(ch: char) -> Option<Color> {
     match ch {
         '.' => Some(Color::UNSET),
@@ -354,6 +358,18 @@ mod tests {
             col: 1,
         };
         assert!(e.to_string().contains("'!'"));
+    }
+
+    #[test]
+    fn max_glyph_colour_is_the_last_that_parses_back() {
+        let last = Coloring::from_cells(1, 1, vec![Color::new(MAX_GLYPH_COLOR)]);
+        assert_eq!(to_text(&last), "z\n");
+        assert_eq!(from_text(&to_text(&last)).unwrap(), last);
+        let past = Coloring::from_cells(1, 1, vec![Color::new(MAX_GLYPH_COLOR + 1)]);
+        assert!(matches!(
+            from_text(&to_text(&past)),
+            Err(ParseError::BadGlyph { glyph: '#', .. })
+        ));
     }
 
     #[test]

@@ -31,6 +31,7 @@ use crate::observe::{NullObserver, Observer};
 use crate::simulator::{RunReport, Simulator, Termination};
 use crate::spec::{lines_with_rest, BuiltTopology, EngineOptions, LaneSpec, RunSpec};
 use crate::sweep::parallel_map;
+use ctori_coloring::render::render_coloring_into;
 use ctori_coloring::{textio, Color, Coloring};
 use ctori_protocols::AnyRule;
 use std::time::Instant;
@@ -227,7 +228,7 @@ impl RunOutcome {
             }
         }
         out.push_str("final:\n");
-        out.push_str(&textio::to_text(&self.final_coloring));
+        render_coloring_into(&self.final_coloring, &mut out);
         out
     }
 
@@ -781,6 +782,23 @@ mod tests {
         assert_eq!(cycled.recoloring_times, None);
         let text = cycled.to_text();
         assert_eq!(RunOutcome::from_text(&text).unwrap(), cycled, "\n{text}");
+    }
+
+    #[test]
+    fn the_largest_glyph_palette_round_trips_through_outcome_text() {
+        let spec = RunSpec::from_text(
+            "topology: toroidal-mesh 8x8\nrule: threshold(1,4)\n\
+             seed: density color=1 palette=35 fraction=0.3 rng=1\n",
+        )
+        .unwrap();
+        let outcome = Runner::with_threads(1).execute(&spec);
+        let cells = outcome.final_coloring.cells();
+        assert!(
+            cells.iter().any(|c| c.index() >= 30),
+            "the final grid should hold letter glyphs near `z`"
+        );
+        let text = outcome.to_text();
+        assert_eq!(RunOutcome::from_text(&text).unwrap(), outcome, "\n{text}");
     }
 
     #[test]

@@ -274,16 +274,19 @@ impl<R: LocalRule> Simulator<R> {
             (torus.rows(), torus.cols()),
             "colouring dimensions do not match the torus"
         );
-        assert!(
-            !initial.has_unset_cells(),
-            "initial colouring contains unset cells"
-        );
         let wiring = Wiring {
             torus: Some(*torus),
             csr: OnceLock::new(),
         };
         let cells = initial.into_cells();
-        Simulator::assemble(wiring, rule, torus.rows(), torus.cols(), cells)
+        let sim = Simulator::assemble(wiring, rule, torus.rows(), torus.cols(), cells);
+        // Both backends' censuses count the unset sentinel like a colour,
+        // so this costs no scan of the cells.
+        assert!(
+            sim.state.count_of(Color::UNSET) == 0,
+            "initial colouring contains unset cells"
+        );
+        sim
     }
 
     /// Creates a simulator over an arbitrary topology with a flat state
@@ -1183,6 +1186,33 @@ mod tests {
         let t = toroidal_mesh(4, 4);
         let other = toroidal_mesh(5, 5);
         let coloring = Coloring::uniform(&other, Color::new(1));
+        let _ = Simulator::new(&t, SmpProtocol, coloring);
+    }
+
+    /// A 6×6 mesh colouring cycling through colours `1..=colors`, checked
+    /// to take the plane lane or not, with one cell then unset.
+    fn one_unset_cell(colors: u16, plane_lane: bool) -> (Torus, Coloring) {
+        let t = toroidal_mesh(6, 6);
+        let cells = (0..36u16).map(|i| Color::new(1 + i % colors)).collect();
+        let mut coloring = Coloring::from_cells(6, 6, cells);
+        let sim = Simulator::new(&t, SmpProtocol, coloring.clone());
+        assert_eq!(sim.uses_plane_lane(), plane_lane);
+        coloring.set_at(2, 3, Color::UNSET);
+        (t, coloring)
+    }
+
+    #[test]
+    #[should_panic(expected = "initial colouring contains unset cells")]
+    fn unset_cells_are_rejected_on_the_plane_lane() {
+        let (t, coloring) = one_unset_cell(3, true);
+        let _ = Simulator::new(&t, SmpProtocol, coloring);
+    }
+
+    #[test]
+    #[should_panic(expected = "initial colouring contains unset cells")]
+    fn unset_cells_are_rejected_on_the_generic_lane() {
+        // More colours than the plane lane's 16 keep the run generic.
+        let (t, coloring) = one_unset_cell(20, false);
         let _ = Simulator::new(&t, SmpProtocol, coloring);
     }
 

@@ -37,7 +37,7 @@ use ctori_protocols::{AnyRule, RuleParseError};
 use ctori_topology::{generators, Graph, NodeId, Torus, TorusKind};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use crate::simulator::RunConfig;
 
@@ -155,6 +155,14 @@ fn parse_color(raw: &str, section: &'static str) -> Result<Color, SpecParseError
         .map_err(|_| make(format!("{raw:?} is not a colour index")))?;
     if index == 0 {
         return Err(make("colour indices are 1-based".into()));
+    }
+    // A seed colour reaches the outcome's glyph grid, which must parse
+    // back; option colours only name a colour to track.
+    if section == "seed" && index > textio::MAX_GLYPH_COLOR {
+        return Err(make(format!(
+            "colour {index} has no glyph: grids name colours 1-9a-z, at most {}",
+            textio::MAX_GLYPH_COLOR
+        )));
     }
     Ok(Color::new(index))
 }
@@ -566,6 +574,16 @@ pub enum SeedSpec {
     /// A random configuration: `round(fraction · n)` vertices get `color`,
     /// the rest are uniform over the other `palette` colours, driven by a
     /// reproducible RNG seed.
+    ///
+    /// The order of the draws from `StdRng::seed_from_u64(rng_seed)` is
+    /// the reproducibility contract that stored specs and cached outcomes
+    /// rely on.  The stream is a Fisher–Yates shuffle of the vertex list
+    /// `0..n` (swap targets `gen_range(0..=i)` for `i = n−1` down to 1),
+    /// then one `choose` among the other colours for each rank from
+    /// `round(fraction · n)` up, in rank order; rank `r` colours the
+    /// `r`-th vertex of the shuffled list, and lower ranks get `color`.
+    /// [`SeedSpec::materialize`] replays that stream without a
+    /// permutation array; any faster sampler must keep every cell.
     Density {
         /// The seed colour.
         color: Color,
@@ -665,20 +683,36 @@ impl SeedSpec {
                     !others.is_empty() || seed_count == total,
                     "density seeds need a palette with at least one non-seed colour"
                 );
-                let mut rng = StdRng::seed_from_u64(*rng_seed);
-                // `u32` positions halve the shuffled array; the shuffle's
-                // draws depend only on the slice length, so the result is
-                // the one a `usize` array would give.
                 let vertices = u32::try_from(total).expect("grids index vertices with u32");
-                let mut positions: Vec<u32> = (0..vertices).collect();
-                positions.shuffle(&mut rng);
-                let mut cells = vec![Color::UNSET; total];
-                for (idx, pos) in positions.into_iter().enumerate() {
-                    cells[pos as usize] = if idx < seed_count {
-                        *color
-                    } else {
-                        *others.choose(&mut rng).expect("non-empty")
-                    };
+                let mut rng = StdRng::seed_from_u64(*rng_seed);
+                // The stream's shuffle swaps i with j_i for i = N−1 down
+                // to 1, so the shuffled list is π = τ_{N−1}∘…∘τ_1 and rank
+                // r colours vertex π(r): the cells are c∘π⁻¹ =
+                // c∘τ_1∘…∘τ_{N−1}, the rank-order colours c swapped for i
+                // ascending.  A swap below `seed_count` exchanges two seed
+                // colours, so its target is drawn and dropped.
+                let low = seed_count.max(1);
+                let mut targets = vec![0u32; total.saturating_sub(low)];
+                for (target, i) in targets.iter_mut().zip(low as u32..vertices).rev() {
+                    *target = rng.gen_range(0..=i);
+                }
+                let mut cells = vec![*color; seed_count];
+                cells.reserve_exact(total - seed_count);
+                if let [only] = others[..] {
+                    // Every non-seed rank gets the one other colour, so
+                    // nothing after the stored targets is ever read: the
+                    // dropped targets and the picks are not drawn at all.
+                    cells.resize(total, only);
+                } else if seed_count < total {
+                    for i in (1..low as u32).rev() {
+                        rng.gen_range(0..=i);
+                    }
+                    cells.extend(
+                        (seed_count..total).map(|_| *others.choose(&mut rng).expect("non-empty")),
+                    );
+                }
+                for (i, &j) in (low..total).zip(&targets) {
+                    cells.swap(i, j as usize);
                 }
                 Coloring::from_cells(rows, cols, cells)
             }
@@ -769,6 +803,13 @@ impl SeedSpec {
                 }
                 if palette == 0 {
                     return Err(bad_seed("palette must have at least one colour"));
+                }
+                if palette > textio::MAX_GLYPH_COLOR {
+                    return Err(bad_seed(format!(
+                        "palette {palette} has colours without a glyph: grids name colours \
+                         1-9a-z, at most {}",
+                        textio::MAX_GLYPH_COLOR
+                    )));
                 }
                 let rng_seed = parse_rng_seed(tokens.get(4), "seed")?;
                 Ok(SeedSpec::Density {
@@ -1566,6 +1607,38 @@ mod tests {
     }
 
     #[test]
+    fn seed_colours_without_a_glyph_are_rejected() {
+        for value in [
+            "density color=1 palette=36 fraction=0.3 rng=1",
+            "density color=36 palette=4 fraction=0.3 rng=1",
+            "nodes color=36 background=1 at 0",
+            "nodes color=1 background=40 at 0",
+            "uniform 36",
+            "checkerboard 1 36",
+            "row-stripes 1 2 300",
+            "column-stripes 36",
+        ] {
+            match SeedSpec::parse(value, "") {
+                Err(SpecParseError::BadSeed { detail }) => {
+                    assert!(detail.contains("1-9a-z"), "{value}: {detail}")
+                }
+                other => panic!("{value}: expected a glyph-limit error, got {other:?}"),
+            }
+        }
+        // Colour 35 (`z`) is the last with a glyph.
+        for value in [
+            "density color=35 palette=35 fraction=0.3 rng=1",
+            "nodes color=35 background=1 at 0",
+            "checkerboard 1 35",
+        ] {
+            assert!(SeedSpec::parse(value, "").is_ok(), "{value}");
+        }
+        // Option colours only name what to track; they keep no limit.
+        let options = EngineOptions::parse("track=40").unwrap();
+        assert_eq!(options.track_times_for, Some(c(40)));
+    }
+
+    #[test]
     fn seed_materialisation_matches_pattern_semantics() {
         let board = SeedSpec::checkerboard(c(1), c(2)).materialize(4, 4);
         assert_eq!(board.at(0, 0), c(1));
@@ -1620,8 +1693,9 @@ mod tests {
 
     #[test]
     fn density_seeds_match_the_usize_shuffle() {
-        // The `usize` formulation `materialize` used before shuffling
-        // `u32` positions.
+        // The draw order written out directly: shuffle a `usize`
+        // permutation of the vertices, then scatter the rank-order
+        // colours through it.
         fn usize_reference(
             total: usize,
             color: Color,
@@ -1644,9 +1718,31 @@ mod tests {
             }
             cells
         }
-        for (rows, cols) in [(2, 2), (5, 7), (16, 16), (64, 65), (128, 128)] {
+        let shapes = [
+            (1, 7),
+            (2, 2),
+            (5, 7),
+            (16, 16),
+            (3, 1000),
+            (64, 65),
+            (127, 129),
+            (128, 128),
+        ];
+        for (rows, cols) in shapes {
+            // One seeded vertex: the lowest swap that touches a non-seed
+            // colour is the first one.
+            let one_seed = 1.0 / (rows * cols) as f64;
             for rng_seed in [0, 1, 7, 0xDEAD_BEEF, u64::MAX] {
-                for (palette, fraction) in [(2, 0.3), (3, 0.0), (8, 0.5), (16, 1.0)] {
+                for (palette, fraction) in [
+                    (2, 0.3),
+                    (3, 0.0),
+                    (8, 0.5),
+                    (16, 1.0),
+                    (5, one_seed),
+                    (3, 0.999),
+                    // Colours past `u8`: no shortcut may narrow them.
+                    (300, 0.3),
+                ] {
                     let color = c(palette);
                     let seed = SeedSpec::Density {
                         color,
@@ -1662,6 +1758,61 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// FNV-1a (64-bit) over the cells' colour indices, little-endian.
+    fn cells_digest(coloring: &Coloring) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for cell in coloring.cells() {
+            for byte in cell.index().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// Materialises `(rows, cols, color, palette, fraction, rng_seed)` and
+    /// checks its digest against `expected`.
+    fn assert_density_digest(
+        (rows, cols, color, palette, fraction, rng_seed): (usize, usize, u16, u16, f64, u64),
+        expected: u64,
+    ) {
+        let seed = SeedSpec::Density {
+            color: c(color),
+            palette,
+            fraction,
+            rng_seed,
+        };
+        let digest = cells_digest(&seed.materialize(rows, cols));
+        assert_eq!(
+            digest, expected,
+            "{rows}x{cols} color {color} palette {palette} fraction {fraction} rng {rng_seed}: \
+             {digest:#018x}"
+        );
+    }
+
+    /// Density seeds are part of every stored spec's meaning: these
+    /// digests were recorded from the permutation-array sampler, so any
+    /// rewrite of `materialize` must reproduce its cells exactly.
+    #[test]
+    fn density_seed_digests_are_pinned() {
+        for (case, expected) in [
+            ((1024, 1024, 3, 3, 0.3, 7), 0x615018b14cb0f364),
+            ((333, 517, 5, 16, 0.5, u64::MAX), 0xcf24d19e42de92eb),
+            // Fraction 0 with two other colours: every cell is a draw.
+            ((64, 4096, 2, 3, 0.0, 0), 0xc8d4ed8231a91327),
+        ] {
+            assert_density_digest(case, expected);
+        }
+    }
+
+    /// The 2048² case of [`density_seed_digests_are_pinned`]; too slow
+    /// for a debug build, so it runs with `cargo test --release`.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "2048² seeding; runs in release builds")]
+    fn density_seed_digest_2048_is_pinned() {
+        assert_density_digest((2048, 2048, 8, 8, 0.3, 12345), 0x6b9750da1c6099f0);
     }
 
     #[test]
