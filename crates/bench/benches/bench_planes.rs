@@ -110,8 +110,9 @@ fn bench_planes_vs_generic_threshold(c: &mut Criterion) {
 
 /// Measurement-only sweep of the plane lane across palettes and torus
 /// kinds: SMP plurality on a 512×512 scatter, one group per palette size,
-/// so plane-count effects (2 planes for 3–4 colours, 3 for 5–8) stay
-/// visible in the Criterion history.
+/// from one plane (2 colours) to four (16).  The plurality kernel compares
+/// neighbour pairs, so its cost per cell follows the plane count (one word
+/// per plane in each gather and pair compare), not the number of colours.
 fn bench_planes_palette_sweep(c: &mut Criterion) {
     let size = 512usize;
     let rounds = 8u32;
@@ -119,7 +120,7 @@ fn bench_planes_palette_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/planes_smp_palette_512x512");
     group.sample_size(10);
     group.throughput(Throughput::Elements(cells * u64::from(rounds)));
-    for &palette in &[3u16, 5, 8] {
+    for &palette in &[2u16, 3, 5, 8, 16] {
         for kind in TorusKind::ALL {
             let torus = Torus::new(kind, size, size);
             let coloring = multicolor_scatter(&torus, palette, u64::from(palette));

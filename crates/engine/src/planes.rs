@@ -10,13 +10,18 @@
 //!
 //! 1. **Gather** each of the four torus directions as one word per plane
 //!    (a funnel shift over two adjacent words — no per-vertex indexing).
-//! 2. **Decode** per-colour indicator words: `ind_c = ∧_p (nb_p` or
-//!    `!nb_p)` depending on bit `p` of code `c`.
-//! 3. **Count** the four direction indicators per colour with a half-adder
-//!    tree into 64 parallel 3-bit counters, and apply the rule's
-//!    comparators (`≥2`, `≥3`, `=4`, unique-plurality masks, and the
-//!    2-2 tie mask of a tie colour) to get a per-colour *adopt* word.
-//! 4. **Merge** the adopted codes back into the planes with two masks.
+//! 2. **Compare** neighbour pairs (plurality rules): six lane masks
+//!    `e_ab = ¬∨_p (nb_a,p ⊕ nb_b,p)` say which of the four gathered codes
+//!    agree.  On four neighbours they settle the counts — some code twice,
+//!    a 2-2 tie, some code three or four times — whatever the palette
+//!    size, and a per-plane mux over the gathered words (neighbour 0 if it
+//!    is in a pair, else 1, else 2) names the winning code.  A tie colour
+//!    wins a 2-2 tie when it holds one of the two pairs.
+//! 3. **Count** one colour (activation rules): the active colour's
+//!    indicator per direction, `ind_c = ∧_p (nb_p` or `!nb_p)` by bit `p`
+//!    of code `c`, summed by a half-adder tree into 64 parallel 3-bit
+//!    counters and compared with the threshold.
+//! 4. **Merge** the decided codes into the planes under the changed mask.
 //!
 //! The per-vertex cost is a few ALU ops instead of a rule dispatch plus a
 //! colour multiset scan.  Which rules qualify is declared by the rules
@@ -265,6 +270,75 @@ fn indicator(words: &[u64; MAX_PLANES], plane_count: usize, code: usize) -> u64 
         ind &= if (code >> p) & 1 == 1 { plane } else { !plane };
     }
     ind
+}
+
+/// The compiled plurality rule on one word of degree-4 vertices, as
+/// `(changed, new)`: the lanes that change code and the word's new value
+/// in every plane.  `nb` holds the gathered N/S/W/E words and `own` the
+/// word itself, both in planes `0..plane_count`.
+///
+/// On four neighbours the rule depends only on which of the six
+/// neighbour pairs share a code, so the palette size never enters: lane
+/// masks `e_ab` of "neighbours `a` and `b` agree" give the counts
+/// (some code twice, a 2-2 tie, some code three or four times), and a
+/// per-plane mux over the gathered words names the winner.  A unique
+/// plurality of one is impossible on degree 4 (four singletons tie), so
+/// every `min_pair ≤ 2` behaves as 2.
+#[inline(always)]
+fn plurality_word(
+    nb: &[[u64; MAX_PLANES]; 4],
+    own: &[u64; MAX_PLANES],
+    plane_count: usize,
+    min_pair: u32,
+    tie: Option<u8>,
+    locked: Option<u8>,
+) -> (u64, [u64; MAX_PLANES]) {
+    let agree = |a: usize, b: usize| {
+        let pairs = nb[a].iter().zip(&nb[b]).take(plane_count);
+        !pairs.fold(0u64, |differ, (x, y)| differ | (x ^ y))
+    };
+    let (e01, e02, e03) = (agree(0, 1), agree(0, 2), agree(0, 3));
+    let (e12, e13, e23) = (agree(1, 2), agree(1, 3), agree(2, 3));
+    // Neighbour 0 is in a pair; else neighbour 1 is; else only 2 and 3
+    // can be.
+    let g0 = e01 | e02 | e03;
+    let g1 = e12 | e13;
+    let tie22 = (e01 & e23 & !e02) | (e02 & e13 & !e01) | (e03 & e12 & !e01);
+    let adopt = match min_pair {
+        0..=2 => (g0 | g1 | e23) & !tie22,
+        3 => (e01 & e02) | (e01 & e03) | (e02 & e03) | (e12 & e13),
+        4 => e01 & e02 & e03,
+        _ => 0,
+    };
+    let mut target = [0u64; MAX_PLANES];
+    for p in 0..plane_count {
+        target[p] = (nb[0][p] & g0) | (nb[1][p] & !g0 & g1) | (nb[2][p] & !(g0 | g1));
+    }
+    let mut decided = adopt;
+    if let (Some(t), 0..=2) = (tie, min_pair) {
+        // The two pairs of a 2-2 tie are neighbour 0's code and, when 0
+        // pairs with 1, neighbour 2's, else neighbour 1's.
+        let t = usize::from(t);
+        let holds = |d: usize| indicator(&nb[d], plane_count, t);
+        let won = tie22 & (holds(0) | (holds(2) & e01) | (holds(1) & !e01));
+        for (p, slot) in target.iter_mut().enumerate().take(plane_count) {
+            *slot = (*slot & !won) | if (t >> p) & 1 == 1 { won } else { 0 };
+        }
+        decided |= won;
+    }
+    let mut differ = 0u64;
+    for p in 0..plane_count {
+        differ |= target[p] ^ own[p];
+    }
+    let mut changed = decided & differ;
+    if let Some(locked) = locked {
+        changed &= !indicator(own, plane_count, usize::from(locked));
+    }
+    let mut new = *own;
+    for p in 0..plane_count {
+        new[p] ^= (own[p] ^ target[p]) & changed;
+    }
+    (changed, new)
 }
 
 /// 64 parallel 3-bit counters over four indicator words: lane `v` of the
@@ -946,7 +1020,6 @@ impl PlaneLane {
         let wi = w as usize;
         let base = wi * 64;
         let pc = self.plane_count;
-        let k = self.palette.len();
 
         let mut own = [0u64; MAX_PLANES];
         for (p, plane) in self.planes.iter().enumerate() {
@@ -976,79 +1049,15 @@ impl PlaneLane {
             }
         }
 
-        let mut changed = 0u64;
-        let mut adopted = [0u64; MAX_PLANES];
-        let mut adopt_code = |code: usize, adopt: u64, changed: &mut u64| {
-            let effective = adopt & !indicator(&own, pc, code);
-            if effective != 0 {
-                *changed |= effective;
-                for (p, slot) in adopted.iter_mut().enumerate().take(pc) {
-                    if (code >> p) & 1 == 1 {
-                        *slot |= effective;
-                    }
-                }
-            }
-        };
-
-        match self.decision {
-            Decision::Plurality { min_pair, tie } if min_pair <= 2 => {
-                // On degree 4 a unique plurality of one is impossible
-                // (four singletons tie), so min_pair <= 2 all behave as 2:
-                // adopt on counts 4, 3-1 and 2-1-1; keep on 2-2 ties
-                // unless the tie colour is one of the pair.
-                let mut ge2 = [0u64; MAX_PALETTE];
-                let mut ge3 = [0u64; MAX_PALETTE];
-                let mut any2 = 0u64;
-                let mut dup2 = 0u64;
-                for code in 0..k {
-                    let (hi, mid, low) = count4(
-                        indicator(&nb[0], pc, code),
-                        indicator(&nb[1], pc, code),
-                        indicator(&nb[2], pc, code),
-                        indicator(&nb[3], pc, code),
-                    );
-                    let g2 = hi | mid;
-                    ge2[code] = g2;
-                    ge3[code] = hi | (mid & low);
-                    dup2 |= any2 & g2;
-                    any2 |= g2;
-                }
-                for code in 0..k {
-                    // A pair is the unique plurality iff no *other* colour
-                    // also reaches two: either two colours reached two
-                    // (dup2) or some colour did and it is not this one.
-                    let other_pair = dup2 | (any2 & !ge2[code]);
-                    let mut adopt = ge3[code] | (ge2[code] & !ge3[code] & !other_pair);
-                    if tie == Some(code as u8) {
-                        // Two colours at two each is a 2-2 tie; the tie
-                        // colour wins it when it is one of them.
-                        adopt |= ge2[code] & dup2;
-                    }
-                    adopt_code(code, adopt, &mut changed);
-                }
-            }
-            Decision::Plurality { min_pair, .. } => {
-                // min_pair 3 or 4 of four neighbours is automatically a
-                // unique plurality (no tie to resolve); 5+ can never fire
-                // on degree 4.
-                if (3..=4).contains(&min_pair) {
-                    for code in 0..k {
-                        let (hi, mid, low) = count4(
-                            indicator(&nb[0], pc, code),
-                            indicator(&nb[1], pc, code),
-                            indicator(&nb[2], pc, code),
-                            indicator(&nb[3], pc, code),
-                        );
-                        let adopt = if min_pair == 3 { hi | (mid & low) } else { hi };
-                        adopt_code(code, adopt, &mut changed);
-                    }
-                }
+        let (changed, new) = match self.decision {
+            Decision::Plurality { min_pair, tie } => {
+                plurality_word(&nb, &own, pc, min_pair, tie, self.locked_code)
             }
             Decision::Activation {
                 code: Some(active),
                 threshold,
             } => {
-                let code = active as usize;
+                let code = usize::from(active);
                 let (hi, mid, low) = count4(
                     indicator(&nb[0], pc, code),
                     indicator(&nb[1], pc, code),
@@ -1063,21 +1072,25 @@ impl PlaneLane {
                     4 => hi,
                     _ => 0,
                 };
-                adopt_code(code, reached, &mut changed);
+                let mut changed = reached & !indicator(&own, pc, code);
+                if let Some(locked) = self.locked_code {
+                    changed &= !indicator(&own, pc, usize::from(locked));
+                }
+                let mut new = own;
+                for (p, slot) in new.iter_mut().enumerate().take(pc) {
+                    if (code >> p) & 1 == 1 {
+                        *slot |= changed;
+                    } else {
+                        *slot &= !changed;
+                    }
+                }
+                (changed, new)
             }
             // Activation colour absent with a positive threshold: inert.
-            Decision::Activation { code: None, .. } => {}
-        }
-
-        if let Some(locked) = self.locked_code {
-            changed &= !indicator(&own, pc, locked as usize);
-        }
+            Decision::Activation { code: None, .. } => return None,
+        };
         if changed == 0 {
             return None;
-        }
-        let mut new = [0u64; MAX_PLANES];
-        for p in 0..pc {
-            new[p] = (own[p] & !changed) | (adopted[p] & changed);
         }
         Some(Patch {
             word: w,
@@ -1435,6 +1448,125 @@ mod tests {
         }
     }
 
+    /// A lane over colours `1..=palette` (so code = colour − 1) compiled
+    /// with `rule`; `None` where compilation rejects the rule.
+    fn lane_with(palette: u16, rule: ColorCountRule) -> Option<PlaneLane> {
+        let torus = Torus::new(TorusKind::ToroidalMesh, 4, 4);
+        let colors: Vec<Color> = (0..16).map(|v| c(1 + v % palette)).collect();
+        PlaneLane::for_torus(&torus, &colors, &rule)
+    }
+
+    /// Packs up to 64 `(own, [N, S, W, E])` code tuples into the lanes of
+    /// one word, runs [`plurality_word`] on it and checks every lane
+    /// against [`PlaneLane::decide_one`].
+    fn check_plurality_lanes(lane: &PlaneLane, tuples: &[(u8, [u8; 4])]) {
+        let Decision::Plurality { min_pair, tie } = lane.decision else {
+            panic!("not a plurality lane");
+        };
+        let pc = lane.plane_count;
+        let mut own = [0u64; MAX_PLANES];
+        let mut nb = [[0u64; MAX_PLANES]; 4];
+        for (i, &(o, codes)) in tuples.iter().enumerate() {
+            for p in 0..pc {
+                own[p] |= u64::from((o >> p) & 1) << i;
+                for (d, &code) in codes.iter().enumerate() {
+                    nb[d][p] |= u64::from((code >> p) & 1) << i;
+                }
+            }
+        }
+        let (changed, new) = plurality_word(&nb, &own, pc, min_pair, tie, lane.locked_code);
+        for (i, &(o, codes)) in tuples.iter().enumerate() {
+            let mut counts = [0u32; MAX_PALETTE];
+            for &code in &codes {
+                counts[usize::from(code)] += 1;
+            }
+            let expected = lane.decide_one(o, &counts);
+            let got = (0..pc).fold(0u8, |code, p| code | (((new[p] >> i) & 1) as u8) << p);
+            let context = format!(
+                "own {o}, neighbours {codes:?}, min_pair {min_pair}, tie {tie:?}, locked {:?}",
+                lane.locked_code
+            );
+            assert_eq!(got, expected, "{context}");
+            assert_eq!((changed >> i) & 1 == 1, expected != o, "{context}");
+        }
+    }
+
+    #[test]
+    fn plurality_word_matches_decide_one_on_every_tuple() {
+        // Every (own, N, S, W, E) tuple of palettes 2–5 (one to three
+        // planes), under every min_pair 0–5, tie code and locked code.
+        for palette in 2u8..=5 {
+            let k = usize::from(palette);
+            let tuples: Vec<(u8, [u8; 4])> = (0..k.pow(5))
+                .map(|mut x| {
+                    let mut digit = || {
+                        let d = (x % k) as u8;
+                        x /= k;
+                        d
+                    };
+                    (digit(), [digit(), digit(), digit(), digit()])
+                })
+                .collect();
+            let codes = || std::iter::once(None).chain((0..palette).map(Some));
+            for min_pair in 0..=5 {
+                for tie in codes() {
+                    for locked in codes() {
+                        let mut rule = ColorCountRule::plurality(min_pair);
+                        if let Some(t) = tie {
+                            rule = rule.with_tie_to(c(1 + u16::from(t)));
+                        }
+                        if let Some(l) = locked {
+                            rule = rule.with_locked(c(1 + u16::from(l)));
+                        }
+                        let Some(lane) = lane_with(u16::from(palette), rule) else {
+                            assert!(tie.is_some() && min_pair < 2, "{rule:?} rejected");
+                            continue;
+                        };
+                        assert_eq!(lane.plane_count, (k - 1).ilog2() as usize + 1);
+                        for chunk in tuples.chunks(64) {
+                            check_plurality_lanes(&lane, chunk);
+                        }
+                    }
+                }
+            }
+        }
+        // Palette 16 (four planes): a seeded sample of 64 Ki tuples, each
+        // word under its own rule.  Neighbours often copy an earlier one,
+        // so pairs, triples and 2-2 ties all occur.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        for _ in 0..1024 {
+            let min_pair = next(6) as u32;
+            let mut rule = ColorCountRule::plurality(min_pair);
+            if min_pair >= 2 && next(4) != 0 {
+                rule = rule.with_tie_to(c(1 + next(16) as u16));
+            }
+            if next(2) == 0 {
+                rule = rule.with_locked(c(1 + next(16) as u16));
+            }
+            let lane = lane_with(16, rule).expect("the rule compiles");
+            let tuples: Vec<(u8, [u8; 4])> = (0..64)
+                .map(|_| {
+                    let mut codes = [0u8; 4];
+                    for d in 0..4 {
+                        codes[d] = if d > 0 && next(2) == 0 {
+                            codes[next(d as u64) as usize]
+                        } else {
+                            next(16) as u8
+                        };
+                    }
+                    (next(16) as u8, codes)
+                })
+                .collect();
+            check_plurality_lanes(&lane, &tuples);
+        }
+    }
+
     #[test]
     fn plurality_matches_scalar_reference_on_all_kinds() {
         for kind in TorusKind::ALL {
@@ -1450,6 +1582,11 @@ mod tests {
             // hold several row-wrap lanes (at unaligned offsets for 20).
             check_lane_matches_reference(kind, 16, 16, 3, ColorCountRule::plurality(2));
             check_lane_matches_reference(kind, 16, 20, 4, ColorCountRule::plurality(2));
+            // Three and four planes through the vector kernel.
+            for palette in [8, 16] {
+                check_lane_matches_reference(kind, 8, 256, palette, ColorCountRule::plurality(2));
+                check_lane_matches_reference(kind, 16, 20, palette, ColorCountRule::plurality(2));
+            }
         }
     }
 
@@ -1458,10 +1595,10 @@ mod tests {
         // Prefer-black's counting form: 2-2 ties involving colour 2 adopt
         // it.  Width 65 puts every word on the slow path; width 256 adds
         // fast words and, on the toroidal mesh, wrap words.  Two colours
-        // make every tie a black one, five colours mix in ties without it.
+        // make every tie a black one; more colours mix in ties without it.
         let rule = ColorCountRule::plurality(2).with_tie_to(c(2));
         for kind in TorusKind::ALL {
-            for palette in [2, 5] {
+            for palette in [2, 5, 8, 16] {
                 check_lane_matches_reference(kind, 8, 65, palette, rule);
                 check_lane_matches_reference(kind, 8, 256, palette, rule);
             }
@@ -1495,14 +1632,14 @@ mod tests {
 
     #[test]
     fn higher_min_pair_forms_match() {
+        // A tie colour must stay inert here: a 2-2 tie is below min_pair.
         for min_pair in [3, 4, 5] {
-            check_lane_matches_reference(
-                TorusKind::TorusCordalis,
-                5,
-                70,
-                6,
+            for rule in [
                 ColorCountRule::plurality(min_pair),
-            );
+                ColorCountRule::plurality(min_pair).with_tie_to(c(2)),
+            ] {
+                check_lane_matches_reference(TorusKind::TorusCordalis, 5, 70, 6, rule);
+            }
         }
     }
 

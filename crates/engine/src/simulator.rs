@@ -982,6 +982,47 @@ mod tests {
         sim.force_degenerate_hash();
         let report = sim.run(&RunConfig::default());
         assert_eq!(report.termination, Termination::Cycle { period: 2 });
+
+        // Multi-plane scatters on widths with fast, wrap and slow words:
+        // every round replays from the run-start snapshot, on the plane
+        // lane and on the generic one, and both must report what the
+        // generic lane reports with its real hash.
+        for t in [toroidal_mesh(5, 70), torus_cordalis(5, 70)] {
+            for palette in [3u64, 8] {
+                let mut x = 0x5EED ^ palette;
+                let cells = (0..t.node_count())
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        Color::new(1 + (x % palette) as u16)
+                    })
+                    .collect();
+                let coloring = Coloring::from_cells(t.rows(), t.cols(), cells);
+                let config = RunConfig::for_dynamo(Color::new(1)).with_max_rounds(40);
+                let mut reference =
+                    Simulator::new(&t, SmpProtocol, coloring.clone()).with_generic_lane();
+                let expected = reference.run(&config);
+                for generic in [false, true] {
+                    let mut sim = Simulator::new(&t, SmpProtocol, coloring.clone());
+                    if generic {
+                        sim = sim.with_generic_lane();
+                    }
+                    assert_eq!(sim.uses_plane_lane(), !generic);
+                    sim.force_degenerate_hash();
+                    let report = sim.run(&config);
+                    let context = format!("{t}, palette {palette}, generic lane: {generic}");
+                    assert_eq!(report.termination, expected.termination, "{context}");
+                    assert_eq!(report.rounds, expected.rounds, "{context}");
+                    assert_eq!(report.monotone, expected.monotone, "{context}");
+                    assert_eq!(
+                        report.recoloring_times, expected.recoloring_times,
+                        "{context}"
+                    );
+                    assert_eq!(sim.snapshot(), reference.snapshot(), "{context}");
+                }
+            }
+        }
     }
 
     #[test]

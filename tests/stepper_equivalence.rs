@@ -140,15 +140,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// Plane lane ≡ generic frontier ≡ full sweep, round for round, for
-    /// every counting-capable rule on every torus kind — including column
-    /// counts around the 64-bit word boundary, so wrap-edge tiles and
-    /// tail words are exercised.
+    /// every counting-capable rule on every torus kind and palettes of 2
+    /// to 16 colours (one to four planes) — including column counts
+    /// around the 64-bit word boundary, so wrap-edge tiles and tail words
+    /// are exercised.
     #[test]
     fn plane_generic_and_full_sweep_agree_round_for_round(
         kind in torus_kind(),
         m in 3usize..=8,
         n in prop_oneof![3usize..=9, 60usize..=70],
-        k in 2u16..=8,
+        k in 2u16..=16,
         seed in any::<u64>(),
     ) {
         let torus = Torus::new(kind, m, n);
