@@ -6,9 +6,11 @@
 //! produces one machine-readable artefact per PR so throughput history is
 //! diffable: `BENCH_6.json` recorded the single-threaded three-lane
 //! baseline, `BENCH_7.json` adds the threads axis — every grid point
-//! is measured at `threads=1` and `threads=auto`, so the artefact
-//! captures both the lane speedup over the generic frontier and the
-//! intra-run thread scaling (`self_speedup`) — `BENCH_9.json` embeds
+//! is measured at `threads=1` and on the plane lane at
+//! `threads=<cores>` (explicit bands; the artefact calls these rows
+//! `auto`, though a spec's `threads=auto` steps on one thread), so the
+//! artefact captures both the lane speedup over the generic frontier
+//! and the intra-run thread scaling (`self_speedup`) — `BENCH_9.json` embeds
 //! a `telemetry` object distilled from a short `LocalExecutor` workload:
 //! queue-wait and run-time quantiles from the pool's latency histograms
 //! plus the dense/sparse band ratio and cell throughput from the step
@@ -104,7 +106,8 @@ fn time_lane(mut sim: Simulator<ThresholdRule>, rounds: u32, cells: usize) -> (f
 
 /// Measures one (kind, size, palette) workload at both thread settings:
 /// the generic frontier once (always sequential — the lane baseline),
-/// the plane lane at `threads=1`, and the plane lane at `threads=auto`.
+/// the plane lane at `threads=1`, and the plane lane at
+/// `threads=<cores>` (explicit bands).
 /// Exact-equivalence checks gate every recorded number.
 fn measure(kind: TorusKind, size: usize, palette: u16, rounds: u32) -> Vec<Sample> {
     let torus = Torus::new(kind, size, size);

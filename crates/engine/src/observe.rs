@@ -75,20 +75,23 @@ impl<'a> StepView<'a> {
         self.state.color_of(v)
     }
 
-    /// Number of vertices currently holding `k` (O(1)).
+    /// Number of vertices currently holding `k` (O(1); on the plane lane
+    /// one pass over the packed plane words).
     pub fn count_of(&self, k: Color) -> usize {
         self.state.count_of(k)
     }
 
-    /// The monochromatic colour, if every vertex holds the same one (O(1)).
+    /// The monochromatic colour, if every vertex holds the same one (O(1);
+    /// O(planes) on the plane lane, off its per-plane bit counts).
     pub fn monochromatic(&self) -> Option<Color> {
         self.state.monochromatic()
     }
 
     /// The colour populations after this round, as a [`ColorHistogram`]
-    /// of the colours currently present (O(palette), not O(vertices) —
-    /// cheap enough to sample every round; the execution API's progress
-    /// events are built from this).
+    /// of the colours currently present (O(palette); on the plane lane one
+    /// pass over the packed plane words, 64 vertices per word).  Neither
+    /// decodes the configuration, so it is cheap enough to sample every
+    /// round; the execution API's progress events are built from this.
     pub fn histogram(&self) -> ColorHistogram {
         ColorHistogram {
             round: self.round,

@@ -81,8 +81,8 @@
 //!   bit test per cell, giving up at the 17th colour;
 //! * codes are packed eight cells per multiply: a table maps each colour
 //!   to its code byte, and one carry-free multiply gathers bit `p` of
-//!   eight code bytes into eight lanes of plane `p`; the census comes
-//!   from indicator popcounts over the packed words;
+//!   eight code bytes into eight lanes of plane `p`, and each plane's
+//!   set-bit count comes from one popcount per packed word;
 //! * words are classified by arithmetic on the rows and mesh wrap
 //!   columns they cover, and only slow words' vertices get stored
 //!   neighbour lists;
@@ -94,6 +94,23 @@
 //! [`PlaneLane::snapshot`] decodes a word at a time the other way round,
 //! one table lookup spreading eight lanes of a plane into eight code
 //! bytes.
+//!
+//! # Plane counts and the census
+//!
+//! The run loop asks "monochromatic yet?" after every round.  The lane
+//! answers from the set-bit count of each plane: the configuration is
+//! monochromatic exactly when every count is 0 or `len`, in the code
+//! whose bits are the planes counting `len`.  Band workers carry each
+//! plane's signed movement (`popcount(new) − popcount(old)` per changed
+//! plane word), so the test costs O(planes) per round whatever the
+//! palette.
+//!
+//! The per-colour census ([`PlaneLane::count_of`],
+//! [`PlaneLane::histogram`]) is counted off the planes by each read: one
+//! pass of indicator popcounts over the plane words, the lanes past `len`
+//! masked off the partial tail word.  Steps keep no per-colour ledger, so
+//! a run that nothing reads during its rounds never pays for one; a
+//! colour outside the palette is answered by the palette search alone.
 //!
 //! # Cycle hash
 //!
@@ -113,6 +130,7 @@ use crate::parallel::{band_ranges, run_bands};
 use ctori_coloring::Color;
 use ctori_protocols::{ColorCountForm, ColorCountRule};
 use ctori_topology::{Adjacency, NodeId, Topology, Torus, TorusKind};
+use std::ops::Range;
 
 /// Planes needed for the largest supported palette (16 colours → 4 bits).
 const MAX_PLANES: usize = 4;
@@ -175,23 +193,21 @@ struct Patch {
 struct BandDelta {
     /// Vertices changed in this band.
     flips: usize,
-    /// Signed per-code census movement (codes partition the changed
-    /// bits, so indicator popcounts over old/new words are exact).
-    census: [i64; MAX_PALETTE],
+    /// Signed movement of each plane's set-bit count, O(planes) per
+    /// changed word: all the per-round monochromatic test reads.
+    ones: [i64; MAX_PLANES],
     /// XOR of the band's cycle-hash term changes (0 while the hash is
     /// off).
     hash: u64,
 }
 
 impl BandDelta {
-    /// Folds one patch's flips and census movement into the summary.
+    /// Folds one patch's flips and plane-count movement into the summary.
     #[inline]
-    fn account(&mut self, patch: &Patch, plane_count: usize, k: usize) {
+    fn account(&mut self, patch: &Patch, plane_count: usize) {
         self.flips += patch.changed.count_ones() as usize;
-        for (code, slot) in self.census.iter_mut().enumerate().take(k) {
-            let gained = indicator(&patch.new, plane_count, code) & patch.changed;
-            let lost = indicator(&patch.old, plane_count, code) & patch.changed;
-            *slot += i64::from(gained.count_ones()) - i64::from(lost.count_ones());
+        for (p, slot) in self.ones.iter_mut().enumerate().take(plane_count) {
+            *slot += i64::from(patch.new[p].count_ones()) - i64::from(patch.old[p].count_ones());
         }
     }
 
@@ -388,12 +404,12 @@ fn palette_of(colors: &[Color]) -> Option<Vec<Color>> {
 }
 
 /// Packs every cell's palette code into the bit planes, 64 cells per
-/// word, and counts the cells holding each code off the packed words.
+/// word, and counts each plane's set bits off the packed words.
 fn pack_planes(
     colors: &[Color],
     palette: &[Color],
     plane_count: usize,
-) -> (Vec<Vec<u64>>, Vec<usize>) {
+) -> (Vec<Vec<u64>>, [usize; MAX_PLANES]) {
     // The palette position of every colour index up to the largest one.
     let top = usize::from(palette.last().expect("non-empty palette").index());
     let mut code_of = vec![0u8; top + 1];
@@ -404,7 +420,7 @@ fn pack_planes(
     let mut planes: Vec<Vec<u64>> = (0..plane_count)
         .map(|_| Vec::with_capacity(words))
         .collect();
-    let mut census = vec![0usize; palette.len()];
+    let mut ones = [0usize; MAX_PLANES];
     for chunk in colors.chunks(64) {
         // Lanes past a partial tail word keep code 0, whose bits are all
         // clear, so tail bits stay zero.
@@ -412,24 +428,40 @@ fn pack_planes(
         for (code, &c) in codes.iter_mut().zip(chunk) {
             *code = code_of[usize::from(c.index())];
         }
-        let mut word = [0u64; MAX_PLANES];
-        for (p, (plane, bits)) in planes.iter_mut().zip(&mut word).enumerate() {
+        for (p, (plane, n)) in planes.iter_mut().zip(&mut ones).enumerate() {
+            let mut bits = 0u64;
             for (g, group) in codes.chunks_exact(8).enumerate() {
                 let bytes = u64::from_le_bytes(group.try_into().expect("eight codes"));
                 // Bit `p` of each of the eight codes, one per byte,
                 // gathered into the top byte by a carry-free multiply
                 // (byte `i` lands on bit `56 + i`).
                 let lanes = (bytes >> p) & 0x0101_0101_0101_0101;
-                *bits |= (lanes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g);
+                bits |= (lanes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g);
             }
-            plane.push(*bits);
-        }
-        let valid = u64::MAX >> (64 - chunk.len());
-        for (code, n) in census.iter_mut().enumerate() {
-            *n += (indicator(&word, plane_count, code) & valid).count_ones() as usize;
+            plane.push(bits);
+            *n += bits.count_ones() as usize;
         }
     }
-    (planes, census)
+    (planes, ones)
+}
+
+/// The cells holding each code of `codes`, in one pass over the plane
+/// words: one indicator popcount per code and word, with the lanes past
+/// `len` masked off the partial tail word (their zero bits read as code
+/// 0).
+fn count_codes(planes: &[Vec<u64>], codes: Range<usize>, len: usize) -> Vec<usize> {
+    let mut census = vec![0usize; codes.len()];
+    for w in 0..len.div_ceil(64) {
+        let mut word = [0u64; MAX_PLANES];
+        for (bits, plane) in word.iter_mut().zip(planes) {
+            *bits = plane[w];
+        }
+        let valid = u64::MAX >> (64 - (len - w * 64).min(64));
+        for (code, n) in codes.clone().zip(&mut census) {
+            *n += (indicator(&word, planes.len(), code) & valid).count_ones() as usize;
+        }
+    }
+    census
 }
 
 /// Classifies every word of a torus from its wrap rule.
@@ -614,8 +646,9 @@ pub struct PlaneLane {
     /// Distinct colours of the initial configuration in ascending order;
     /// a vertex's code is its colour's position here.
     palette: Vec<Color>,
-    /// Vertices currently holding each code (incremental census).
-    census: Vec<usize>,
+    /// Set bits of each plane over the `len` valid lanes (kept
+    /// incrementally): the monochromatic test reads only these.
+    ones: [usize; MAX_PLANES],
     /// Per-word evaluation class (vector kernel, patched vector kernel,
     /// or exact per-vertex fallback).
     class: Vec<WordClass>,
@@ -769,7 +802,7 @@ impl PlaneLane {
             (usize::BITS - (k - 1).leading_zeros()) as usize
         };
         let words = len.div_ceil(64);
-        let (planes, census) = pack_planes(colors, &palette, plane_count);
+        let (planes, ones) = pack_planes(colors, &palette, plane_count);
         let (class, slow) = layout();
         let (mark_offsets, mark_words) = dirty_table(cols, &class, &slow);
         let tile_geometry = if cols >= 64 && cols.is_multiple_of(64) && len.is_multiple_of(cols) {
@@ -785,7 +818,7 @@ impl PlaneLane {
             words,
             cols,
             palette,
-            census,
+            ones,
             class,
             slow,
             mark_offsets,
@@ -834,35 +867,44 @@ impl PlaneLane {
         self.palette[self.code_of(v) as usize]
     }
 
-    /// Number of vertices currently holding `k` (O(log palette)).
+    /// Number of vertices currently holding `k`, counted with one pass
+    /// over the plane words (O(words × planes)).  A colour outside the
+    /// palette is answered by the palette search alone (O(log palette)).
     pub fn count_of(&self, k: Color) -> usize {
         match self.palette.binary_search(&k) {
-            Ok(code) => self.census[code],
+            Ok(code) => count_codes(&self.planes, code..code + 1, self.len)[0],
             Err(_) => 0,
         }
     }
 
     /// The `(colour, count)` pairs of every colour currently present, in
-    /// ascending colour order — O(palette), straight off the census.
+    /// ascending colour order, counted with one pass over the plane words
+    /// (O(words × palette × planes)).
     pub fn histogram(&self) -> Vec<(Color, usize)> {
         self.palette
             .iter()
-            .zip(&self.census)
-            .filter(|&(_, &n)| n > 0)
-            .map(|(&c, &n)| (c, n))
+            .zip(count_codes(&self.planes, 0..self.palette.len(), self.len))
+            .filter(|&(_, n)| n > 0)
+            .map(|(&c, n)| (c, n))
             .collect()
     }
 
     /// The monochromatic colour, if every vertex holds the same one
-    /// (O(palette)).
+    /// (O(planes), off the plane counts: every plane is all ones or all
+    /// zeros, and the planes of ones spell the code).
     pub fn monochromatic(&self) -> Option<Color> {
         if self.is_empty() {
             return None;
         }
-        self.census
-            .iter()
-            .position(|&n| n == self.len)
-            .map(|code| self.palette[code])
+        let mut code = 0;
+        for (p, &n) in self.ones.iter().enumerate().take(self.plane_count) {
+            if n == self.len {
+                code |= 1 << p;
+            } else if n != 0 {
+                return None;
+            }
+        }
+        Some(self.palette[code])
     }
 
     /// Materialises the configuration as one colour per vertex, decoding
@@ -1188,7 +1230,7 @@ impl PlaneLane {
     }
 
     /// The full tiled sweep over one band's word range, accumulating
-    /// patches and their census/flip summary band-locally.
+    /// patches and their summary band-locally.
     ///
     /// Tiling applies when the range covers whole torus rows (band
     /// alignment guarantees it on tiled grids); otherwise the range
@@ -1201,7 +1243,6 @@ impl PlaneLane {
         delta: &mut BandDelta,
     ) {
         let pc = self.plane_count;
-        let k = self.palette.len();
         match self.tile_geometry {
             Some((_, words_per_row))
                 if start_w.is_multiple_of(words_per_row) && end_w.is_multiple_of(words_per_row) =>
@@ -1214,7 +1255,7 @@ impl PlaneLane {
                             for wc in tile_col..(tile_col + TILE_WORD_COLS).min(words_per_row) {
                                 let w = (r * words_per_row + wc) as u32;
                                 if let Some(p) = self.eval_word(w) {
-                                    delta.account(&p, pc, k);
+                                    delta.account(&p, pc);
                                     out.push(p);
                                 }
                             }
@@ -1225,7 +1266,7 @@ impl PlaneLane {
             _ => {
                 for w in start_w..end_w {
                     if let Some(p) = self.eval_word(w as u32) {
-                        delta.account(&p, pc, k);
+                        delta.account(&p, pc);
                         out.push(p);
                     }
                 }
@@ -1236,10 +1277,9 @@ impl PlaneLane {
     /// The worklist path over one band's candidate bucket.
     fn eval_candidates(&self, cands: &[u32], out: &mut Vec<Patch>, delta: &mut BandDelta) {
         let pc = self.plane_count;
-        let k = self.palette.len();
         for &w in cands {
             if let Some(p) = self.eval_word(w) {
-                delta.account(&p, pc, k);
+                delta.account(&p, pc);
                 out.push(p);
             }
         }
@@ -1299,8 +1339,9 @@ impl PlaneLane {
             .collect();
 
         // Evaluate all bands against the frozen pre-round planes; each
-        // worker owns one patch buffer and returns its census/flip/hash
-        // summary.  `run_bands` is the barrier that publishes the round.
+        // worker owns one patch buffer and returns its flip/plane-count/
+        // hash summary.  `run_bands` is the barrier that publishes the
+        // round.
         let mut band_patches = std::mem::take(&mut self.band_patches);
         for buffer in &mut band_patches {
             buffer.clear();
@@ -1323,14 +1364,14 @@ impl PlaneLane {
             },
         );
 
-        // Merge phase: the workers already counted flips, census movement
-        // and hash changes, so the sequential section only writes the new
-        // plane words and marks the worklist — order across bands is
-        // irrelevant (each word has at most one patch).
+        // Merge phase: the workers already counted flips, plane-count
+        // movement and hash changes, so the sequential section only writes
+        // the new plane words and marks the worklist — order across bands
+        // is irrelevant (each word has at most one patch).
         for delta in &deltas {
             self.flipped += delta.flips;
-            for (slot, &moved) in self.census.iter_mut().zip(&delta.census) {
-                *slot = (*slot as i64 + moved) as usize;
+            for (n, &moved) in self.ones.iter_mut().zip(&delta.ones) {
+                *n = (*n as i64 + moved) as usize;
             }
             if let Some(hash) = &mut self.hash {
                 *hash ^= delta.hash;
@@ -1645,22 +1686,55 @@ mod tests {
 
     #[test]
     fn census_and_histogram_stay_consistent() {
-        let torus = Torus::new(TorusKind::ToroidalMesh, 8, 64);
-        let colors = scatter_colors(8 * 64, 7, 99);
-        let rule = ColorCountRule::plurality(2);
-        let mut lane = PlaneLane::for_torus(&torus, &colors, &rule).unwrap();
-        for _ in 0..8 {
-            lane.step();
-            let snapshot = lane.snapshot();
-            for &color in lane.palette() {
-                let expected = snapshot.iter().filter(|&&x| x == color).count();
-                assert_eq!(lane.count_of(color), expected);
+        // `monochromatic()` reads the plane counts kept by the steps;
+        // `count_of` and `histogram()` count off the planes.  Every round
+        // all three must match the snapshot.  5×70 ends in a partial word
+        // and splits into two bands at two threads; the activation rule
+        // turns the torus monochromatic in its top colour in round 1.
+        let absent = c(200);
+        for (m, n) in [(8, 64), (5, 70)] {
+            let torus = Torus::new(TorusKind::ToroidalMesh, m, n);
+            for palette in [1, 2, 3, 5, 8, 16] {
+                let colors = scatter_colors(m * n, palette, 99 + u64::from(palette));
+                for rule in [
+                    ColorCountRule::plurality(2),
+                    ColorCountRule::activation(c(palette), 0),
+                ] {
+                    for threads in [1, 2] {
+                        let mut lane = PlaneLane::for_torus(&torus, &colors, &rule).unwrap();
+                        lane.set_threads(threads);
+                        let context =
+                            format!("{m}x{n}, palette {palette}, {rule:?}, threads {threads}");
+                        for round in 0..=8 {
+                            if round > 0 {
+                                lane.step();
+                            }
+                            let snapshot = lane.snapshot();
+                            let mono = snapshot
+                                .iter()
+                                .all(|&x| x == snapshot[0])
+                                .then_some(snapshot[0]);
+                            assert_eq!(lane.monochromatic(), mono, "{context}: round {round}");
+                            assert_eq!(lane.count_of(absent), 0, "{context}: round {round}");
+                            let mut expected = std::collections::BTreeMap::new();
+                            for &x in &snapshot {
+                                *expected.entry(x).or_insert(0usize) += 1;
+                            }
+                            let expected: Vec<(Color, usize)> = expected.into_iter().collect();
+                            for &color in lane.palette() {
+                                let n = expected.iter().find(|&&(x, _)| x == color);
+                                assert_eq!(
+                                    lane.count_of(color),
+                                    n.map_or(0, |&(_, n)| n),
+                                    "{context}: round {round}, colour {color:?}"
+                                );
+                            }
+                            assert_eq!(lane.histogram(), expected, "{context}: round {round}");
+                        }
+                    }
+                }
             }
-            let histogram = lane.histogram();
-            assert!(histogram.windows(2).all(|w| w[0].0 < w[1].0));
-            assert_eq!(histogram.iter().map(|&(_, n)| n).sum::<usize>(), lane.len());
         }
-        assert_eq!(lane.count_of(c(200)), 0);
     }
 
     #[test]

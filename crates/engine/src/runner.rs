@@ -456,7 +456,7 @@ impl Runner {
         let rule = spec.rule.resolve();
         let config = spec.options.run_config();
         let mut sim = build_simulator(spec, rule);
-        let step_threads = self.resolve_step_threads(spec, sim.node_count());
+        let step_threads = self.resolve_step_threads(spec);
         sim.set_step_threads(step_threads);
         observer.on_start(&sim.view());
         // Deliberate timing code: the outcome reports total run time.
@@ -493,21 +493,15 @@ impl Runner {
     /// The runner's own thread budget is a **hard cap** — an executor
     /// pool grants each job a budget via [`Runner::with_threads`], and a
     /// spec cannot exceed it.  An explicit spec `threads=N` is clamped to
-    /// the budget; `threads=auto` (`0`) spends the whole budget only when
-    /// the grid is large enough to amortise the per-round band barrier
-    /// (below ~2¹⁸ cells a single worker wins).  Step-parallelism never
-    /// affects the outcome, only the wall clock.
-    fn resolve_step_threads(&self, spec: &RunSpec, cells: usize) -> usize {
-        /// Below this many cells, `threads=auto` stays sequential.
-        const STEP_PARALLEL_FLOOR_CELLS: usize = 1 << 18;
+    /// the budget.  `threads=auto` (`0`) steps on one thread at every
+    /// size, as the worker pool resolves it: a fresh pair of scoped band
+    /// workers per round lost to one thread on the 1024² and 2048²
+    /// benchmark grids (2-core VM), so bands stay opt-in until a measured
+    /// crossover says otherwise.  Step-parallelism never affects the
+    /// outcome, only the wall clock.
+    fn resolve_step_threads(&self, spec: &RunSpec) -> usize {
         match spec.options.threads {
-            0 => {
-                if cells >= STEP_PARALLEL_FLOOR_CELLS {
-                    self.threads
-                } else {
-                    1
-                }
-            }
+            0 => 1,
             explicit => explicit.min(self.threads),
         }
     }
@@ -884,6 +878,32 @@ mod tests {
         let capped = Runner::with_threads(1).execute(&threaded);
         assert_eq!(capped.round_stats.unwrap().threads, 1);
         assert_eq!(capped, seq);
+    }
+
+    #[test]
+    fn auto_threads_step_on_one_thread_at_every_size() {
+        // 2¹⁸ cells: large enough for four bands, so only the policy
+        // keeps `auto` on one thread.
+        let spec = RunSpec::new(
+            TopologySpec::toroidal_mesh(512, 512),
+            RuleSpec::from_rule(SmpProtocol),
+            SeedSpec::Density {
+                color: c(2),
+                palette: 3,
+                fraction: 0.4,
+                rng_seed: 7,
+            },
+        )
+        .with_options(EngineOptions::default().with_max_rounds(4));
+        assert_eq!(spec.options.threads, 0, "the default is auto");
+        let runner = Runner::with_threads(4);
+        let auto = runner.execute(&spec);
+        assert_eq!(auto.round_stats.unwrap().threads, 1);
+        let mut explicit = spec.clone();
+        explicit.options = explicit.options.with_threads(4);
+        let banded = runner.execute(&explicit);
+        assert_eq!(banded.round_stats.unwrap().threads, 4);
+        assert_eq!(auto, banded);
     }
 
     #[test]

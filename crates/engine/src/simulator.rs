@@ -280,8 +280,9 @@ impl<R: LocalRule> Simulator<R> {
         };
         let cells = initial.into_cells();
         let sim = Simulator::assemble(wiring, rule, torus.rows(), torus.cols(), cells);
-        // Both backends' censuses count the unset sentinel like a colour,
-        // so this costs no scan of the cells.
+        // Both backends count the unset sentinel like a colour, so this
+        // costs no scan of the cells: the generic census holds it, and the
+        // plane lane answers from its palette unless a cell is unset.
         assert!(
             sim.state.count_of(Color::UNSET) == 0,
             "initial colouring contains unset cells"
@@ -493,11 +494,6 @@ impl<R: LocalRule> Simulator<R> {
         self.wiring.csr()
     }
 
-    /// Number of vertices.
-    pub(crate) fn node_count(&self) -> usize {
-        self.state.len()
-    }
-
     /// The number of rounds executed so far.
     pub fn round(&self) -> usize {
         self.round
@@ -536,14 +532,16 @@ impl<R: LocalRule> Simulator<R> {
         set
     }
 
-    /// Number of vertices currently holding `k` (O(1): the backends keep
-    /// an incremental census).
+    /// Number of vertices currently holding `k` (O(1) off the generic
+    /// backend's incremental census; on the plane lane one pass over the
+    /// packed plane words).
     pub fn count_of(&self, k: Color) -> usize {
         self.state.count_of(k)
     }
 
     /// Whether the current configuration is monochromatic, and in which
-    /// colour (O(1)).
+    /// colour (O(1); O(planes) on the plane lane, off its per-plane bit
+    /// counts).
     pub fn monochromatic(&self) -> Option<Color> {
         self.state.monochromatic()
     }

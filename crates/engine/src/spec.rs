@@ -953,10 +953,12 @@ pub struct EngineOptions {
     /// 1. A batch sweep ([`crate::runner::Runner::sweep`]) spends the
     ///    budget on whole runs and steps each run sequentially — outer
     ///    parallelism wins.
-    /// 2. A single [`crate::runner::Runner::execute`] spends it *inside*
-    ///    the run as band-parallel stepping ([`crate::parallel`]),
-    ///    clamped to the runner's own budget; `auto` engages the full
-    ///    budget only on large grids (≥ 2¹⁸ cells).
+    /// 2. A single [`crate::runner::Runner::execute`] spends an explicit
+    ///    `threads=N` *inside* the run as band-parallel stepping
+    ///    ([`crate::parallel`]), clamped to the runner's own budget;
+    ///    `auto` steps on one thread at every size, because a fresh pair
+    ///    of band workers per round lost to one thread on the benchmark's
+    ///    1024² and 2048² grids.
     /// 3. The worker pool ([`crate::exec::LocalExecutor`] and the
     ///    simulation service) charges a job stepping with `T` threads as
     ///    `T` pool slots (clamped to idle capacity) and resolves `auto`
@@ -1180,7 +1182,7 @@ impl EngineOptions {
         // combination is rejected rather than reinterpreted.
         if literal_zero_threads && options.lane == LaneSpec::Planes {
             return Err(bad_options(
-                "threads=0 with lane=planes: write threads=auto for the automatic budget",
+                "threads=0 with lane=planes: write threads=auto for the default, or threads=N",
             ));
         }
         Ok(options)

@@ -12,10 +12,14 @@
 //!   counting form through
 //!   [`ctori_protocols::LocalRule::as_color_count_rule`].
 //!
-//! Both backends keep their aggregate queries (`count_of`,
+//! The generic backend keeps its aggregate queries (`count_of`,
 //! `monochromatic`, `histogram_counts`) O(palette) or better by updating
-//! counters as changes are applied, so the run loop never re-scans the
-//! configuration between rounds.
+//! a census as changes are applied.  The plane lane keeps only per-plane
+//! bit counts, so `monochromatic`, the query the run loop asks every
+//! round, is O(planes); `count_of` of a palette colour and
+//! `histogram_counts` count off the packed plane words on each call (64
+//! vertices per word), so steps keep no per-colour ledger that no one
+//! reads.
 
 use crate::planes::PlaneLane;
 use ctori_coloring::Color;
@@ -144,8 +148,9 @@ impl StateVec {
         }
     }
 
-    /// Number of vertices currently holding `k` (O(1); O(log palette) on
-    /// the plane lane).
+    /// Number of vertices currently holding `k` (O(1); on the plane lane
+    /// one pass over the packed plane words, or O(log palette) for a
+    /// colour outside the palette).
     pub fn count_of(&self, k: Color) -> usize {
         match self {
             StateVec::Generic { census, .. } => census.count(k),
@@ -154,8 +159,10 @@ impl StateVec {
     }
 
     /// The `(colour, count)` pairs of every colour currently present, in
-    /// ascending colour order (O(palette)) — never O(vertices), which is
-    /// what keeps per-round histogram observers cheap.
+    /// ascending colour order (O(palette); on the plane lane one pass over
+    /// the packed plane words, 64 vertices per word) — never a decode of
+    /// the configuration, which is what keeps per-round histogram
+    /// observers cheap.
     pub fn histogram_counts(&self) -> Vec<(Color, usize)> {
         match self {
             StateVec::Generic { census, .. } => census.present(),
@@ -163,7 +170,8 @@ impl StateVec {
         }
     }
 
-    /// The monochromatic colour, if every vertex holds the same one (O(1)).
+    /// The monochromatic colour, if every vertex holds the same one (O(1);
+    /// O(planes) on the plane lane, off its per-plane bit counts).
     pub fn monochromatic(&self) -> Option<Color> {
         if self.is_empty() {
             return None;

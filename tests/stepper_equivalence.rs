@@ -223,18 +223,20 @@ proptest! {
     /// periods included), same round count, same tracking output.  Every
     /// case first runs every rule on a two-colour torus 3 to 8 cells wide
     /// under the default round limit; it then runs every counting rule on
-    /// a palette of 2 to 8 colours, on tori narrow enough to put several
-    /// rows in a word or wide enough for fast, wrap and slow words.  This
-    /// pins the plane lane's per-plane-word cycle hash against the generic
-    /// lane's per-vertex one, and a quarter of the cases rerun the plane
-    /// lane with a degenerate hash.
+    /// a palette of 2 to 16 colours (one to four planes), on tori narrow
+    /// enough to put several rows in a word or wide enough for fast, wrap
+    /// and slow words.  This pins the plane lane's per-plane-word cycle
+    /// hash against the generic lane's per-vertex one, its per-round
+    /// monochromatic test from plane counts against the generic census,
+    /// and the final target count it counts off its planes; a quarter of
+    /// the cases rerun the plane lane with a degenerate hash.
     #[test]
     fn run_reports_agree_across_lanes(
         kind in torus_kind(),
         m in 3usize..=8,
         narrow in 3usize..=8,
         n in prop_oneof![3usize..=8, 60usize..=70],
-        k in 2u16..=8,
+        k in 2u16..=16,
         density in 5u8..=60,
         seed in any::<u64>(),
         degenerate in 0u8..4,
