@@ -142,6 +142,48 @@ fn bench_planes_palette_sweep(c: &mut Criterion) {
     group.finish();
 }
 
+/// Measurement-only: big-grid's 2048² class through the kernel, 12 SMP
+/// rounds on a palette-8 toroidal-mesh scatter (three planes).  The
+/// group's time per iteration includes building the simulator; the line
+/// printed after it times the 12 rounds alone, best of five.
+fn bench_planes_smp_2048(c: &mut Criterion) {
+    let torus = Torus::new(TorusKind::ToroidalMesh, 2048, 2048);
+    let coloring = multicolor_scatter(&torus, 8, 8);
+    let rounds = 12u32;
+    let cells = (torus.rows() * torus.cols()) as u64;
+    let mut group = c.benchmark_group("engine/planes_smp_2048x2048");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(cells * u64::from(rounds)));
+    group.bench_function("toroidal_mesh/8", |b| {
+        b.iter(|| {
+            let mut sim = Simulator::new(&torus, SmpProtocol, coloring.clone());
+            assert!(sim.uses_plane_lane());
+            for _ in 0..rounds {
+                black_box(sim.step());
+            }
+        });
+    });
+    group.finish();
+
+    let best = (0..5)
+        .map(|_| {
+            let mut sim = Simulator::new(&torus, SmpProtocol, coloring.clone());
+            let start = Instant::now();
+            for _ in 0..rounds {
+                black_box(sim.step());
+            }
+            start.elapsed()
+        })
+        .min()
+        .expect("five runs");
+    println!(
+        "planes_smp_2048 (2048x2048 toroidal mesh, palette 8, SMP, {rounds} rounds, best of 5): \
+         {:.2} ms per round, {:.2} Gcell/s",
+        best.as_secs_f64() * 1e3 / f64::from(rounds),
+        cells as f64 * f64::from(rounds) / best.as_secs_f64() / 1e9,
+    );
+}
+
 /// Criterion configuration shared by this file: shorter warm-up and
 /// measurement windows so the full `cargo bench --workspace` sweep stays
 /// within a few minutes while still producing stable estimates.
@@ -154,6 +196,6 @@ fn configured() -> Criterion {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_planes_vs_generic_threshold, bench_planes_palette_sweep
+    targets = bench_planes_vs_generic_threshold, bench_planes_palette_sweep, bench_planes_smp_2048
 }
 criterion_main!(benches);

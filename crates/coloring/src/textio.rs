@@ -106,16 +106,63 @@ const GLYPHS: [u16; 128] = {
     table
 };
 
+/// The colour index of glyph byte `b`, and whether `b` is a glyph at all,
+/// by arithmetic: `'1'..='9'` are 1–9, `'a'..='z'` 10–35 and `'.'` is 0
+/// (unset).
+#[inline(always)]
+fn glyph_index(b: u8) -> (u16, bool) {
+    let digit = b.wrapping_sub(b'1');
+    let letter = b.wrapping_sub(b'a');
+    let (is_digit, is_letter) = (digit < 9, letter < 26);
+    let index = ((u16::from(digit) + 1) & u16::from(is_digit).wrapping_neg())
+        | ((u16::from(letter) + 10) & u16::from(is_letter).wrapping_neg());
+    (index, is_digit | is_letter | (b == b'.'))
+}
+
+/// Decodes a canonical grid line — exactly `2·cols − 1` bytes, a glyph at
+/// every even offset and `' '` at every odd one, as the renderer writes
+/// it — onto `cells`, with validity checked once for the whole line.
+/// Returns `false` and leaves `cells` as it was for any other line.
+fn decode_canonical(line: &[u8], cols: usize, cells: &mut Vec<Color>) -> bool {
+    if line.len() + 1 != 2 * cols {
+        return false;
+    }
+    let before = cells.len();
+    cells.resize(before + cols, Color::UNSET);
+    let row = &mut cells[before..];
+    // Every cell but the last is a (glyph, separator) pair.
+    let (pairs, last) = line.split_at(line.len() - 1);
+    let mut valid = true;
+    for (cell, pair) in row.iter_mut().zip(pairs.chunks_exact(2)) {
+        let (index, glyph) = glyph_index(pair[0]);
+        *cell = Color(index);
+        valid &= glyph & (pair[1] == b' ');
+    }
+    let (index, glyph) = glyph_index(last[0]);
+    row[cols - 1] = Color(index);
+    let valid = valid && glyph;
+    if !valid {
+        cells.truncate(before);
+    }
+    valid
+}
+
 /// Parses a colouring from the glyph-grid text format.
 ///
 /// Whitespace between glyphs is ignored; blank lines are skipped.  Cells
-/// are decoded byte by byte straight into one row-major vector.  A bad
-/// glyph anywhere is reported before ragged rows.
+/// are decoded straight into one row-major vector: after the first row,
+/// a line in the renderer's canonical form takes a branch-free decode of
+/// the whole line, and any other line goes byte by byte.  A bad glyph
+/// anywhere is reported before ragged rows.
 pub fn from_text(text: &str) -> Result<Coloring, ParseError> {
     let mut cells = Vec::with_capacity(text.len() / 2);
     let (mut rows, mut cols) = (0, 0);
     let mut ragged = None;
     for (row_idx, line) in text.lines().enumerate() {
+        if rows > 0 && decode_canonical(line.as_bytes(), cols, &mut cells) {
+            rows += 1;
+            continue;
+        }
         let before = cells.len();
         for (i, &b) in line.as_bytes().iter().enumerate() {
             let glyph = match GLYPHS.get(usize::from(b)) {
@@ -277,6 +324,69 @@ mod tests {
             }
             prop_assert_eq!(from_text(&text), from_text_reference(&text), "{:?}", text);
         }
+
+        /// Canonical grids, as the renderer writes them, with one
+        /// character replaced by an arbitrary one: the glyph or the
+        /// separator of a cell before the last, or the last cell's glyph,
+        /// in any row (the first row always takes the byte loop, later
+        /// rows the canonical fast path).
+        #[test]
+        fn canonical_lines_match_the_reference_when_corrupted(
+            rows in 1usize..5,
+            cols in 1usize..40,
+            cells in prop::collection::vec(0usize..8, 160),
+            row in 0usize..5,
+            class in 0usize..3,
+            col in 0usize..40,
+            junk in 0usize..ALPHABET.len(),
+        ) {
+            let mut lines: Vec<Vec<char>> = (0..rows)
+                .map(|r| {
+                    let mut line: Vec<char> = (0..cols)
+                        .flat_map(|c| [ALPHABET[cells[r * cols + c]], ' '])
+                        .collect();
+                    line.pop();
+                    line
+                })
+                .collect();
+            // Offsets `2c` and `2c + 1` are cell `c`'s glyph and
+            // separator; the last cell has no separator.
+            let at = match class {
+                0 if cols > 1 => 2 * (col % (cols - 1)),
+                1 if cols > 1 => 2 * (col % (cols - 1)) + 1,
+                _ => 2 * (cols - 1),
+            };
+            lines[row % rows][at] = ALPHABET[junk];
+            let text: String = lines
+                .iter()
+                .map(|line| line.iter().collect::<String>() + "\n")
+                .collect();
+            prop_assert_eq!(from_text(&text), from_text_reference(&text), "{:?}", text);
+        }
+    }
+
+    #[test]
+    fn canonical_lines_report_the_reference_errors() {
+        // Later rows take the canonical fast path; a bad glyph in a pair,
+        // a bad separator and a bad last cell fall back to the byte loop.
+        for (text, row, col, glyph) in [
+            ("1 2 3\n1 X 3\n", 1, 1, 'X'),
+            ("1 2 3\n1 2 3\n0 2 3\n", 2, 0, '0'),
+            ("1 2 3\n1 2 A\n", 1, 2, 'A'),
+            ("1 2 3\n1!2 3\n", 1, 1, '!'),
+        ] {
+            let expected = Err(ParseError::BadGlyph { glyph, row, col });
+            assert_eq!(from_text(text), expected, "{text:?}");
+            assert_eq!(from_text_reference(text), expected, "{text:?}");
+        }
+        // A non-canonical separator still separates.
+        let tabbed = from_text("1 2 3\n1\t. z\n").unwrap();
+        assert_eq!(tabbed.at(1, 1), Color::UNSET);
+        assert_eq!(tabbed.at(1, 2), Color::new(MAX_GLYPH_COLOR));
+        assert_eq!(
+            from_text("1 2 3\n12 3\n"),
+            from_text_reference("1 2 3\n12 3\n")
+        );
     }
 
     #[test]

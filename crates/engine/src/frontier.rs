@@ -9,9 +9,10 @@
 //! candidate set is a thin moving frontier, so the per-round cost drops
 //! from `O(|V|)` to `O(|frontier| · Δ)`.
 //!
-//! `Worklist` is the round-stamped candidate dedup shared by the generic
-//! backend (vertex indices) and the bit-plane lane (word indices).
-//! Deduplication uses a `Vec<u32>` of round tags instead of a hash set:
+//! `Worklist` is the generic backend's round-stamped candidate dedup
+//! (vertex indices); the bit-plane lane marks candidate words in a bitmap
+//! of its own (see [`crate::planes`]).  Deduplication uses a `Vec<u32>`
+//! of round tags instead of a hash set:
 //! marking an index is one array compare-and-write, and clearing between
 //! rounds is a single counter increment.
 

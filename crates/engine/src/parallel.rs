@@ -12,12 +12,15 @@
 //! # Why this is exact
 //!
 //! Every lane in the engine is strictly two-phase: the whole round is
-//! *evaluated* against the immutable pre-round state, and the changes are
-//! *applied* afterwards.  Band workers therefore only ever **read** shared
-//! state and **write** band-local buffers, so the partitioning (and the
-//! number of bands) can never affect the result — parallel stepping is
-//! bit-identical to single-threaded stepping, which is what keeps
-//! `threads` excluded from [`crate::spec::RunSpec::canonical_key`].
+//! *evaluated* against the immutable pre-round state, and the changes
+//! take effect afterwards (the generic lane applies its change lists, the
+//! plane lane swaps its double-buffered planes).  Band workers therefore
+//! only ever **read** shared state and **write** band-local buffers (the
+//! plane lane's are each band's own word range of the back planes), so
+//! the partitioning (and the number of bands) can never affect the
+//! result — parallel stepping is bit-identical to single-threaded
+//! stepping, which is what keeps `threads` excluded from
+//! [`crate::spec::RunSpec::canonical_key`].
 //!
 //! # The halo-exchange invariant
 //!
@@ -59,10 +62,11 @@ pub fn band_ranges(total: usize, bands: usize, align: usize) -> Vec<(usize, usiz
 /// when there is more than one, and returns the per-band outputs in band
 /// order.
 ///
-/// `buffers` carries one reusable band-local accumulator per band (the
-/// lanes pass their patch/change vectors), so band results need no fresh
+/// `buffers` carries one band-local output per band (the generic lane
+/// passes its change vectors, the plane lane each band's slice of the
+/// back planes and its changed-word list), so band results need no fresh
 /// buffers; the closure's return value carries small per-band summaries
-/// (flip counts, census deltas), returned in a fresh `Vec` each call and
+/// (flip counts, plane-count deltas), returned in a fresh `Vec` each call and
 /// merged by the caller after the implicit barrier.  With a single band
 /// everything runs inline on the calling thread — the sequential path
 /// spawns nothing.

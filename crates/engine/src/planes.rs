@@ -21,22 +21,62 @@
 //!    indicator per direction, `ind_c = ∧_p (nb_p` or `!nb_p)` by bit `p`
 //!    of code `c`, summed by a half-adder tree into 64 parallel 3-bit
 //!    counters and compared with the threshold.
-//! 4. **Merge** the decided codes into the planes under the changed mask.
+//! 4. **Write back** the word's new value, changed or not, into the back
+//!    planes (see the double buffer below).
 //!
 //! The per-vertex cost is a few ALU ops instead of a rule dispatch plus a
 //! colour multiset scan.  Which rules qualify is declared by the rules
 //! themselves through [`ctori_protocols::LocalRule::as_color_count_rule`].
 //!
+//! # Double buffer
+//!
+//! Rounds are synchronous: every vertex reads its neighbours' pre-round
+//! codes and all of them recolour at once.  The lane keeps two sets of
+//! planes.  A round evaluates each scheduled word against the *front*
+//! planes, writes the word's full new value into the *back* planes
+//! whether or not it changed, and then swaps the two sets.
+//!
+//! **Invariant: after the swap, the back buffer holds the previous
+//! round's complete state.**  It holds because every word that changed
+//! last round is a candidate this round (a changed word marks itself).
+//! Before round `t + 1` the front holds state `S_t` and the back
+//! `S_{t−1}`.  A word the round skips did not change in round `t` (it
+//! would be a candidate) and cannot change in round `t + 1` (only
+//! candidates can), so its back copy, from `S_{t−1}`, already equals
+//! `S_{t+1}`; every other word is written.  After the swap the front holds
+//! `S_{t+1}` and the back `S_t`.  Dense rounds, sparse rounds, the
+//! always-full reference and slow words all write every word they
+//! evaluate, and the back buffer starts as a copy of the front.
+//!
+//! A round records nothing else per word but what changed: each band
+//! keeps `(word, changed lanes)` pairs, and [`PlaneLane::flips`] derives
+//! `(vertex, old, new)` from them, reading old codes from the back planes
+//! and new ones from the front.  The flip count, the per-plane bit counts
+//! and the cycle hash are updated in the pass that evaluates the word,
+//! while its old and new values are still in registers.
+//!
+//! The step is specialised by plane count: it dispatches once per round
+//! on `plane_count` (1–4) and on the compiled rule to a monomorphised
+//! sweep, so every word op runs over fixed-size `[u64; PC]` arrays with
+//! unrolled loops and the per-word loop holds no rule match.
+//!
 //! # Frontier words and wrap handling
 //!
-//! Scheduling is *word-granular*: the dirty-tracking worklist (the same
-//! round-stamped structure the per-vertex frontier uses) holds
-//! word indices, and a word is re-evaluated when any of its 64 vertices or
-//! their neighbours changed last round (dirty propagation is word-level
-//! too, through a per-word neighbour-word table built at construction —
-//! no per-flip neighbour walks).  Words are classified once at
-//! construction, from the torus's own wrap rule
-//! ([`ctori_topology::Torus`]); no CSR is built:
+//! Scheduling is *word-granular*: a bitmap with one bit per word holds the
+//! round's candidates, and a word is re-evaluated when any of its 64
+//! vertices or their neighbours changed last round (dirty propagation is
+//! word-level too, through a per-word neighbour-word table built at
+//! construction — no per-flip neighbour walks).  Each band counts its
+//! candidates off the bitmap and runs the full tiled sweep once they
+//! cover 5/8 of its words, else it walks the set bits in ascending word
+//! order.  A band whose changed words alone already reach that share
+//! makes no marks: its candidates always include its changed words, so it
+//! runs dense next round anyway, and its whole range is marked at once
+//! (with several bands, its changed words still mark their neighbours in
+//! other bands, so every other band's candidates stay exact).
+//!
+//! Words are classified once at construction, from the torus's own wrap
+//! rule ([`ctori_topology::Torus`]); no CSR is built:
 //!
 //! * **fast** — the word is full and none of its vertices lies in row 0
 //!   or row `m-1`, so every vertex `v` in it has the neighbour pattern
@@ -68,9 +108,9 @@
 //! (16 rows × 32 words ≈ 16 KiB of plane data for a 4-plane palette, plus
 //! the two neighbouring rows each gather touches) instead of row-major
 //! order, so a 4096² torus streams each cache line once per round instead
-//! of thrashing between distant rows.  Evaluation is strictly
-//! read-old/write-new (patches are applied after the whole round is
-//! evaluated), so traversal order never affects results.
+//! of thrashing between distant rows.  Evaluation reads only the front
+//! planes and writes only the back planes, so traversal order never
+//! affects results.
 //!
 //! # Building the lane
 //!
@@ -100,17 +140,25 @@
 //! The run loop asks "monochromatic yet?" after every round.  The lane
 //! answers from the set-bit count of each plane: the configuration is
 //! monochromatic exactly when every count is 0 or `len`, in the code
-//! whose bits are the planes counting `len`.  Band workers carry each
-//! plane's signed movement (`popcount(new) − popcount(old)` per changed
-//! plane word), so the test costs O(planes) per round whatever the
-//! palette.
+//! whose bits are the planes counting `len`.  The sweep moves each count
+//! by the lanes a changed word sets minus those it clears in that plane,
+//! so the test costs O(planes) per round whatever the palette.  Popcount
+//! is a software routine on the baseline x86-64 target, so a changed word
+//! pays one for its flips and two per plane, and a one-plane word reuses
+//! its flip count (every changed lane differs in the only plane); words
+//! that do not change pay none.
 //!
-//! The per-colour census ([`PlaneLane::count_of`],
-//! [`PlaneLane::histogram`]) is counted off the planes by each read: one
-//! pass of indicator popcounts over the plane words, the lanes past `len`
-//! masked off the partial tail word.  Steps keep no per-colour ledger, so
-//! a run that nothing reads during its rounds never pays for one; a
-//! colour outside the palette is answered by the palette search alone.
+//! The per-colour census is counted off the planes by each read.
+//! [`PlaneLane::count_of`] takes one indicator popcount per word, with the
+//! lanes past `len` masked off the partial tail word.
+//! [`PlaneLane::histogram`] popcounts the AND of every set of two or more
+//! planes (one per word at two planes, four at three, eleven at four) and
+//! recovers each code's count by inclusion–exclusion, with the plane
+//! counts for single planes and `len` for the empty set; tail bits are
+//! zero in every plane, so the ANDs need no mask.  Steps keep no
+//! per-colour ledger, so a run that nothing reads during its rounds never
+//! pays for one; a colour outside the palette is answered by the palette
+//! search alone.
 //!
 //! # Cycle hash
 //!
@@ -118,19 +166,17 @@
 //! (word, plane, contents): the XOR over every plane word of one
 //! SplitMix64 mix of its contents, salted with its position.  The hash is
 //! off until the simulator's run loop switches it on with cycle detection,
-//! so a raw [`PlaneLane::step`] pays nothing.  Once on, a band worker
-//! swaps the old term of each plane word its patch changes for the new
-//! one (two mixes) and folds the difference into its band summary, so
-//! hashing runs in the parallel band workers, not in the sequential apply
-//! phase.  A hash match is only a candidate: the simulator confirms every
-//! repeat by replay before reporting a cycle.
+//! so a raw [`PlaneLane::step`] pays nothing for it.  Once on, the sweep
+//! swaps the old term of each plane word a changed word rewrites for the
+//! new one (two mixes) and folds the difference into its band's sum, so
+//! hashing runs in the band workers while both values are at hand.  A
+//! hash match is only a candidate: the simulator confirms every repeat by
+//! replay before reporting a cycle.
 
-use crate::frontier::Worklist;
 use crate::parallel::{band_ranges, run_bands};
 use ctori_coloring::Color;
 use ctori_protocols::{ColorCountForm, ColorCountRule};
 use ctori_topology::{Adjacency, NodeId, Topology, Torus, TorusKind};
-use std::ops::Range;
 
 /// Planes needed for the largest supported palette (16 colours → 4 bits).
 const MAX_PLANES: usize = 4;
@@ -160,70 +206,151 @@ enum WordClass {
     /// Full word off the boundary rows: the interior neighbour pattern
     /// `[v-cols, v+cols, v-1, v+1]` in all four directions.
     Fast,
-    /// Full word, interior pattern vertically; the lanes in `west`
-    /// (`east`) are toroidal-mesh row-wrap columns whose west (east)
-    /// neighbour is `v+cols-1` (`v-cols+1`) instead of `v∓1`.
-    Wrap { west: u64, east: u64 },
+    /// Full word, interior pattern vertically, with toroidal-mesh
+    /// row-wrap lanes: `west` (`east`) is the word's first column-0
+    /// (column-`n-1`) lane, 64 for none, and [`wrap_lanes`] spreads it to
+    /// every such lane.  Their west (east) neighbour is `v+cols-1`
+    /// (`v-cols+1`) instead of `v∓1`.
+    Wrap { west: u8, east: u8 },
     /// Anything else: exact per-vertex evaluation over the word's stored
     /// neighbour lists ([`SlowLists`]).
     Slow,
 }
 
-/// One word's pending rewrite, evaluated against the pre-round planes.
-///
-/// Keeping the old plane words alongside the new makes the patch a full
-/// record of the round's changes, so per-flip data (`(vertex, old, new)`
-/// tuples for observers and hashing) can be derived lazily instead of
-/// materialised inside the hot apply loop.
-#[derive(Clone, Copy, Debug)]
-struct Patch {
-    word: u32,
-    /// Lanes whose vertex changes code this round.
-    changed: u64,
-    /// The word's pre-round value in every plane.
-    old: [u64; MAX_PLANES],
-    /// The word's full new value in every plane.
-    new: [u64; MAX_PLANES],
+/// The compiled rule as a word update.  The step is monomorphised over
+/// it (and over the plane count), so the per-word loop holds no
+/// [`Decision`] match.
+trait WordRule: Sync {
+    /// The word's new value in every plane, from the gathered N/S/W/E
+    /// neighbour words `nb` and its own value `own`.
+    fn next<const PC: usize>(&self, nb: &[[u64; PC]; 4], own: &[u64; PC]) -> [u64; PC];
 }
 
-/// A band worker's running summary of the patches it produced, computed
-/// while the patch words are still in registers so the sequential apply
-/// phase has nothing left to count (see [`PlaneLane::step`]).
+/// [`Decision::Plurality`] with the locked code.
+#[derive(Clone, Copy)]
+struct PluralityWord {
+    min_pair: u32,
+    tie: Option<u8>,
+    locked: Option<u8>,
+}
+
+impl WordRule for PluralityWord {
+    #[inline(always)]
+    fn next<const PC: usize>(&self, nb: &[[u64; PC]; 4], own: &[u64; PC]) -> [u64; PC] {
+        plurality_word(nb, own, self.min_pair, self.tie, self.locked).1
+    }
+}
+
+/// [`Decision::Activation`] of a palette colour, with the locked code.
+#[derive(Clone, Copy)]
+struct ActivationWord {
+    code: usize,
+    threshold: u32,
+    locked: Option<u8>,
+}
+
+impl WordRule for ActivationWord {
+    #[inline(always)]
+    fn next<const PC: usize>(&self, nb: &[[u64; PC]; 4], own: &[u64; PC]) -> [u64; PC] {
+        let code = self.code;
+        let (hi, mid, low) = count4(
+            indicator(&nb[0], code),
+            indicator(&nb[1], code),
+            indicator(&nb[2], code),
+            indicator(&nb[3], code),
+        );
+        let reached = match self.threshold {
+            0 => !0u64,
+            1 => hi | mid | low,
+            2 => hi | mid,
+            3 => hi | (mid & low),
+            4 => hi,
+            _ => 0,
+        };
+        let mut changed = reached & !indicator(own, code);
+        if let Some(locked) = self.locked {
+            changed &= !indicator(own, usize::from(locked));
+        }
+        let mut new = *own;
+        for (p, slot) in new.iter_mut().enumerate() {
+            if (code >> p) & 1 == 1 {
+                *slot |= changed;
+            } else {
+                *slot &= !changed;
+            }
+        }
+        new
+    }
+}
+
+/// An activation rule whose colour is outside the palette: no word ever
+/// changes.
+#[derive(Clone, Copy)]
+struct Inert;
+
+impl WordRule for Inert {
+    #[inline(always)]
+    fn next<const PC: usize>(&self, _nb: &[[u64; PC]; 4], own: &[u64; PC]) -> [u64; PC] {
+        *own
+    }
+}
+
+/// A band's account of one round: its dense/sparse choice and the words
+/// it evaluated, and what its changed words moved, kept by the sweep
+/// while each word's old and new values are still in registers.  Folded
+/// into the lane after the bands join.
 #[derive(Clone, Copy, Debug, Default)]
-struct BandDelta {
+struct BandSum {
+    /// Whether the band ran the full tiled sweep.
+    dense: bool,
+    /// Words evaluated.
+    words: usize,
     /// Vertices changed in this band.
     flips: usize,
-    /// Signed movement of each plane's set-bit count, O(planes) per
-    /// changed word: all the per-round monochromatic test reads.
+    /// Signed movement of each plane's set-bit count.
     ones: [i64; MAX_PLANES],
     /// XOR of the band's cycle-hash term changes (0 while the hash is
     /// off).
     hash: u64,
 }
 
-impl BandDelta {
-    /// Folds one patch's flips and plane-count movement into the summary.
-    #[inline]
-    fn account(&mut self, patch: &Patch, plane_count: usize) {
-        self.flips += patch.changed.count_ones() as usize;
-        for (p, slot) in self.ones.iter_mut().enumerate().take(plane_count) {
-            *slot += i64::from(patch.new[p].count_ones()) - i64::from(patch.old[p].count_ones());
-        }
-    }
-
-    /// Folds the cycle-hash change of a band's patches into the summary:
-    /// each changed plane word swaps its old term for its new one.
-    fn rekey(&mut self, patches: &[Patch], plane_count: usize) {
-        for patch in patches {
-            let w = patch.word as usize;
-            for p in 0..plane_count {
-                let (old, new) = (patch.old[p], patch.new[p]);
-                if old != new {
-                    self.hash ^= zobrist_term(w, p, old) ^ zobrist_term(w, p, new);
-                }
+impl BandSum {
+    /// Accounts word `w`, whose lanes `changed` go from `own` to `new`;
+    /// `hashing` swaps the cycle-hash terms of its rewritten plane words.
+    #[inline(always)]
+    fn record<const PC: usize>(
+        &mut self,
+        w: usize,
+        changed: u64,
+        (own, new): (&[u64; PC], &[u64; PC]),
+        hashing: bool,
+    ) {
+        let flips = changed.count_ones();
+        self.flips += flips as usize;
+        for (p, ((moved, &before), &after)) in self.ones.iter_mut().zip(own).zip(new).enumerate() {
+            // A plane's count moves by the lanes it sets minus the lanes
+            // it clears, 2·set − differ; at one plane every changed lane
+            // differs, so the flip count saves a popcount.
+            let set = (after & !before).count_ones();
+            let differ = if PC == 1 {
+                flips
+            } else {
+                (after ^ before).count_ones()
+            };
+            *moved += 2 * i64::from(set) - i64::from(differ);
+            if hashing && before != after {
+                self.hash ^= zobrist_term(w, p, before) ^ zobrist_term(w, p, after);
             }
         }
     }
+}
+
+/// One band's share of a round's output: its word range of every back
+/// plane, and the words it changed with their changed lanes.
+struct BandOut<'a, const PC: usize> {
+    start: usize,
+    back: [&'a mut [u64]; PC],
+    changed: &'a mut Vec<(u32, u64)>,
 }
 
 /// SplitMix64's finaliser: the 64-bit mix behind both cycle hashes (the
@@ -261,6 +388,16 @@ fn gather(plane: &[u64], base: usize) -> u64 {
     }
 }
 
+/// The words of a bitmap covering bits `start..end`, each with the mask
+/// of its bits in that range.
+fn bit_span(start: usize, end: usize) -> impl Iterator<Item = (usize, u64)> {
+    (start >> 6..end.div_ceil(64)).map(move |i| {
+        let lo = start.max(i * 64) - i * 64;
+        let hi = end.min(i * 64 + 64) - i * 64;
+        (i, (u64::MAX >> (64 - (hi - lo))) << lo)
+    })
+}
+
 /// `SPREAD[x]` holds bit `i` of the byte `x` in bit 0 of its byte `i`:
 /// one lookup turns eight lanes of a plane word into eight code bits.
 const SPREAD: [u64; 256] = {
@@ -280,9 +417,9 @@ const SPREAD: [u64; 256] = {
 /// The per-colour indicator of one gathered (or own) word set: lane `v` is
 /// set iff vertex `v`'s code equals `code`.
 #[inline(always)]
-fn indicator(words: &[u64; MAX_PLANES], plane_count: usize, code: usize) -> u64 {
+fn indicator<const PC: usize>(words: &[u64; PC], code: usize) -> u64 {
     let mut ind = !0u64;
-    for (p, &plane) in words.iter().enumerate().take(plane_count) {
+    for (p, &plane) in words.iter().enumerate() {
         ind &= if (code >> p) & 1 == 1 { plane } else { !plane };
     }
     ind
@@ -291,7 +428,7 @@ fn indicator(words: &[u64; MAX_PLANES], plane_count: usize, code: usize) -> u64 
 /// The compiled plurality rule on one word of degree-4 vertices, as
 /// `(changed, new)`: the lanes that change code and the word's new value
 /// in every plane.  `nb` holds the gathered N/S/W/E words and `own` the
-/// word itself, both in planes `0..plane_count`.
+/// word itself.
 ///
 /// On four neighbours the rule depends only on which of the six
 /// neighbour pairs share a code, so the palette size never enters: lane
@@ -301,16 +438,15 @@ fn indicator(words: &[u64; MAX_PLANES], plane_count: usize, code: usize) -> u64 
 /// plurality of one is impossible on degree 4 (four singletons tie), so
 /// every `min_pair ≤ 2` behaves as 2.
 #[inline(always)]
-fn plurality_word(
-    nb: &[[u64; MAX_PLANES]; 4],
-    own: &[u64; MAX_PLANES],
-    plane_count: usize,
+fn plurality_word<const PC: usize>(
+    nb: &[[u64; PC]; 4],
+    own: &[u64; PC],
     min_pair: u32,
     tie: Option<u8>,
     locked: Option<u8>,
-) -> (u64, [u64; MAX_PLANES]) {
+) -> (u64, [u64; PC]) {
     let agree = |a: usize, b: usize| {
-        let pairs = nb[a].iter().zip(&nb[b]).take(plane_count);
+        let pairs = nb[a].iter().zip(&nb[b]);
         !pairs.fold(0u64, |differ, (x, y)| differ | (x ^ y))
     };
     let (e01, e02, e03) = (agree(0, 1), agree(0, 2), agree(0, 3));
@@ -326,33 +462,30 @@ fn plurality_word(
         4 => e01 & e02 & e03,
         _ => 0,
     };
-    let mut target = [0u64; MAX_PLANES];
-    for p in 0..plane_count {
-        target[p] = (nb[0][p] & g0) | (nb[1][p] & !g0 & g1) | (nb[2][p] & !(g0 | g1));
+    let mut target = [0u64; PC];
+    for (p, slot) in target.iter_mut().enumerate() {
+        *slot = (nb[0][p] & g0) | (nb[1][p] & !g0 & g1) | (nb[2][p] & !(g0 | g1));
     }
     let mut decided = adopt;
     if let (Some(t), 0..=2) = (tie, min_pair) {
         // The two pairs of a 2-2 tie are neighbour 0's code and, when 0
         // pairs with 1, neighbour 2's, else neighbour 1's.
         let t = usize::from(t);
-        let holds = |d: usize| indicator(&nb[d], plane_count, t);
+        let holds = |d: usize| indicator(&nb[d], t);
         let won = tie22 & (holds(0) | (holds(2) & e01) | (holds(1) & !e01));
-        for (p, slot) in target.iter_mut().enumerate().take(plane_count) {
+        for (p, slot) in target.iter_mut().enumerate() {
             *slot = (*slot & !won) | if (t >> p) & 1 == 1 { won } else { 0 };
         }
         decided |= won;
     }
-    let mut differ = 0u64;
-    for p in 0..plane_count {
-        differ |= target[p] ^ own[p];
-    }
+    let differ = target.iter().zip(own).fold(0u64, |d, (t, o)| d | (t ^ o));
     let mut changed = decided & differ;
     if let Some(locked) = locked {
-        changed &= !indicator(own, plane_count, usize::from(locked));
+        changed &= !indicator(own, usize::from(locked));
     }
     let mut new = *own;
-    for p in 0..plane_count {
-        new[p] ^= (own[p] ^ target[p]) & changed;
+    for (slot, t) in new.iter_mut().zip(&target) {
+        *slot ^= (*slot ^ t) & changed;
     }
     (changed, new)
 }
@@ -445,25 +578,6 @@ fn pack_planes(
     (planes, ones)
 }
 
-/// The cells holding each code of `codes`, in one pass over the plane
-/// words: one indicator popcount per code and word, with the lanes past
-/// `len` masked off the partial tail word (their zero bits read as code
-/// 0).
-fn count_codes(planes: &[Vec<u64>], codes: Range<usize>, len: usize) -> Vec<usize> {
-    let mut census = vec![0usize; codes.len()];
-    for w in 0..len.div_ceil(64) {
-        let mut word = [0u64; MAX_PLANES];
-        for (bits, plane) in word.iter_mut().zip(planes) {
-            *bits = plane[w];
-        }
-        let valid = u64::MAX >> (64 - (len - w * 64).min(64));
-        for (code, n) in codes.clone().zip(&mut census) {
-            *n += (indicator(&word, planes.len(), code) & valid).count_ones() as usize;
-        }
-    }
-    census
-}
-
 /// Classifies every word of a torus from its wrap rule.
 ///
 /// A full word is fast or wrap iff none of its vertices lies in row 0 or
@@ -477,32 +591,24 @@ fn count_codes(planes: &[Vec<u64>], codes: Range<usize>, len: usize) -> Vec<usiz
 fn classify_torus(torus: &Torus) -> Vec<WordClass> {
     let (rows, cols) = (torus.rows(), torus.cols());
     let words = (rows * cols).div_ceil(64);
-    let wrap_lanes = match torus.kind() {
+    let mesh = match torus.kind() {
         TorusKind::ToroidalMesh => true,
         TorusKind::TorusCordalis | TorusKind::TorusSerpentinus => false,
         // A kind whose wraps this rule does not know takes the exact path.
         _ => return vec![WordClass::Slow; words],
     };
-    // The lanes of the word starting at vertex `base` that hold column
-    // `col`: every `cols`-th lane from the first one in that column.
-    let column_lanes = |base: usize, col: usize| {
-        let mut lanes = 0u64;
-        let mut v = base + (col + cols - base % cols) % cols;
-        while v < base + 64 {
-            lanes |= 1 << (v - base);
-            v += cols;
-        }
-        lanes
-    };
+    // The first lane of the word starting at vertex `base` that holds
+    // column `col` (64: none).
+    let first_lane = |base: usize, col: usize| ((col + cols - base % cols) % cols).min(64) as u8;
     let interior_end = (rows - 1) * cols;
     (0..words)
         .map(|w| {
             let base = w * 64;
             if base < cols || base + 64 > interior_end {
                 WordClass::Slow
-            } else if wrap_lanes {
-                let (west, east) = (column_lanes(base, 0), column_lanes(base, cols - 1));
-                if west | east == 0 {
+            } else if mesh {
+                let (west, east) = (first_lane(base, 0), first_lane(base, cols - 1));
+                if (west, east) == (64, 64) {
                     WordClass::Fast
                 } else {
                     WordClass::Wrap { west, east }
@@ -512,6 +618,19 @@ fn classify_torus(torus: &Torus) -> Vec<WordClass> {
             }
         })
         .collect()
+}
+
+/// The lanes of a word that hold one torus column, from the first of
+/// them (64: none) on every `cols`-th lane.
+#[inline]
+fn wrap_lanes(first: u8, cols: usize) -> u64 {
+    let mut lanes = 0u64;
+    let mut lane = usize::from(first);
+    while lane < 64 {
+        lanes |= 1 << lane;
+        lane += cols;
+    }
+    lanes
 }
 
 /// The neighbour lists of the vertices in slow words, in CSR form: row
@@ -603,7 +722,9 @@ fn dirty_table(cols: usize, class: &[WordClass], slow: &SlowLists) -> (Vec<u32>,
             }
             WordClass::Fast | WordClass::Wrap { .. } => {
                 let (west, east) = match kind {
-                    WordClass::Wrap { west, east } => (west, east),
+                    WordClass::Wrap { west, east } => {
+                        (wrap_lanes(west, cols), wrap_lanes(east, cols))
+                    }
                     _ => (0, 0),
                 };
                 // The bases `eval_vector` gathers from, each with the
@@ -629,16 +750,19 @@ fn dirty_table(cols: usize, class: &[WordClass], slow: &SlowLists) -> (Vec<u32>,
 ///
 /// Construction compiles a [`ColorCountRule`] and an initial configuration
 /// of at most 16 distinct colours down to palette codes; stepping then
-/// evaluates 64 vertices per word against the pre-round planes (see the
-/// [module docs](crate::planes) for the kernel).  The lane owns all the
-/// structure it reads: its word classes, the neighbour lists of its slow
-/// words and the word-level dirty table, so [`PlaneLane::step`] needs no
-/// CSR.
+/// evaluates 64 vertices per word against the front planes and writes the
+/// back planes (see the [module docs](crate::planes) for the kernel and
+/// the double buffer).  The lane owns all the structure it reads: its
+/// word classes, the neighbour lists of its slow words and the word-level
+/// dirty table, so [`PlaneLane::step`] needs no CSR.
 #[derive(Clone, Debug)]
 pub struct PlaneLane {
-    /// `planes[p]` holds bit `p` of every vertex code; tail bits past
-    /// `len` stay zero.
-    planes: Vec<Vec<u64>>,
+    /// The current configuration: `front[p]` holds bit `p` of every
+    /// vertex code; tail bits past `len` stay zero.
+    front: Vec<Vec<u64>>,
+    /// The previous round's configuration, in the same layout; a round
+    /// writes its words' new values here and then swaps it to the front.
+    back: Vec<Vec<u64>>,
     plane_count: usize,
     len: usize,
     words: usize,
@@ -665,13 +789,15 @@ pub struct PlaneLane {
     tile_geometry: Option<(usize, usize)>,
     decision: Decision,
     locked_code: Option<u8>,
-    worklist: Worklist,
-    /// Per-band double buffers of the last step's patches (band workers
-    /// write their own vector; the concatenation in band order is the
-    /// sequential patch stream).
-    band_patches: Vec<Vec<Patch>>,
-    /// Reused per-band candidate buckets for sparse rounds.
-    band_cands: Vec<Vec<u32>>,
+    /// The next round's candidate words, one bit per word (every word
+    /// before the first round).
+    dirty: Vec<u64>,
+    /// Pins every round to a full sweep: no marks are made, and the
+    /// bitmap stays full.
+    always_full: bool,
+    /// The words each band changed in the last step, with their changed
+    /// lanes (band order is the sequential order).
+    band_changed: Vec<Vec<(u32, u64)>>,
     /// Requested step-parallelism (row-band workers per round).
     threads: usize,
     /// The thread count `band_plan` was computed for; `0` forces a
@@ -802,7 +928,7 @@ impl PlaneLane {
             (usize::BITS - (k - 1).leading_zeros()) as usize
         };
         let words = len.div_ceil(64);
-        let (planes, ones) = pack_planes(colors, &palette, plane_count);
+        let (front, ones) = pack_planes(colors, &palette, plane_count);
         let (class, slow) = layout();
         let (mark_offsets, mark_words) = dirty_table(cols, &class, &slow);
         let tile_geometry = if cols >= 64 && cols.is_multiple_of(64) && len.is_multiple_of(cols) {
@@ -810,9 +936,12 @@ impl PlaneLane {
         } else {
             None
         };
+        let mut dirty = vec![0u64; words.div_ceil(64)];
+        mark_span(&mut dirty, 0, words);
 
         Some(PlaneLane {
-            planes,
+            back: front.clone(),
+            front,
             plane_count,
             len,
             words,
@@ -826,9 +955,9 @@ impl PlaneLane {
             tile_geometry,
             decision,
             locked_code,
-            worklist: Worklist::new(words),
-            band_patches: Vec::new(),
-            band_cands: Vec::new(),
+            dirty,
+            always_full: false,
+            band_changed: Vec::new(),
             threads: 1,
             planned_threads: 0,
             band_plan: Vec::new(),
@@ -867,25 +996,76 @@ impl PlaneLane {
         self.palette[self.code_of(v) as usize]
     }
 
-    /// Number of vertices currently holding `k`, counted with one pass
-    /// over the plane words (O(words × planes)).  A colour outside the
-    /// palette is answered by the palette search alone (O(log palette)).
+    /// Number of vertices currently holding `k`, counted with one
+    /// indicator popcount per word (O(words × planes)).  A colour outside
+    /// the palette is answered by the palette search alone
+    /// (O(log palette)).
     pub fn count_of(&self, k: Color) -> usize {
-        match self.palette.binary_search(&k) {
-            Ok(code) => count_codes(&self.planes, code..code + 1, self.len)[0],
-            Err(_) => 0,
-        }
+        let Ok(code) = self.palette.binary_search(&k) else {
+            return 0;
+        };
+        (0..self.words)
+            .map(|w| {
+                // The lanes past `len` read as code 0: mask them off.
+                let valid = u64::MAX >> (64 - (self.len - w * 64).min(64));
+                let ind = self
+                    .front
+                    .iter()
+                    .enumerate()
+                    .fold(valid, |ind, (p, plane)| {
+                        ind & if (code >> p) & 1 == 1 {
+                            plane[w]
+                        } else {
+                            !plane[w]
+                        }
+                    });
+                ind.count_ones() as usize
+            })
+            .sum()
     }
 
     /// The `(colour, count)` pairs of every colour currently present, in
-    /// ascending colour order, counted with one pass over the plane words
-    /// (O(words × palette × planes)).
+    /// ascending colour order.
+    ///
+    /// One pass over the plane words popcounts the AND of every set of
+    /// two or more planes (1, 4 and 11 popcounts per word at two, three
+    /// and four planes); the plane counts give the single planes and
+    /// `len` the empty set, and inclusion–exclusion turns "every bit of
+    /// `s` set" counts into exact per-code counts.
     pub fn histogram(&self) -> Vec<(Color, usize)> {
+        let subsets = 1usize << self.plane_count;
+        // `with[s]`: cells whose code has every bit of `s` set.
+        let mut with = [0i64; MAX_PALETTE];
+        with[0] = self.len as i64;
+        for (p, &n) in self.ones.iter().enumerate().take(self.plane_count) {
+            with[1 << p] = n as i64;
+        }
+        let mut and = [0u64; MAX_PALETTE];
+        for w in 0..self.words {
+            for s in 1..subsets {
+                let low = s & s.wrapping_neg();
+                if s == low {
+                    and[s] = self.front[low.trailing_zeros() as usize][w];
+                } else {
+                    and[s] = and[s ^ low] & and[low];
+                    with[s] += i64::from(and[s].count_ones());
+                }
+            }
+        }
+        // Möbius inversion over supersets: `with[s]` becomes the cells
+        // whose code is exactly `s`.
+        for p in 0..self.plane_count {
+            for s in 0..subsets {
+                if s & (1 << p) == 0 {
+                    with[s] -= with[s | 1 << p];
+                }
+            }
+        }
         self.palette
             .iter()
-            .zip(count_codes(&self.planes, 0..self.palette.len(), self.len))
+            .zip(with)
             .filter(|&(_, n)| n > 0)
-            .map(|(&c, n)| (c, n))
+            .map(|(&c, n)| (c, n as usize))
             .collect()
     }
 
@@ -917,7 +1097,7 @@ impl PlaneLane {
         for w in 0..self.words {
             // Byte `b` of `codes[g]` is the code of lane `8g + b`.
             let mut codes = [0u64; 8];
-            for (p, plane) in self.planes.iter().enumerate() {
+            for (p, plane) in self.front.iter().enumerate() {
                 for (g, slot) in codes.iter_mut().enumerate() {
                     *slot |= SPREAD[((plane[w] >> (8 * g)) & 0xFF) as usize] << p;
                 }
@@ -941,7 +1121,7 @@ impl PlaneLane {
     pub(crate) fn enable_hash(&mut self) {
         if self.hash.is_none() {
             let mut value = 0;
-            for (p, plane) in self.planes.iter().enumerate() {
+            for (p, plane) in self.front.iter().enumerate() {
                 for (w, &bits) in plane.iter().enumerate() {
                     value ^= zobrist_term(w, p, bits);
                 }
@@ -957,31 +1137,30 @@ impl PlaneLane {
     }
 
     /// The `(vertex, old colour, new colour)` changes of the last
-    /// [`PlaneLane::step`] call, derived lazily from the retained patches
-    /// so the hot apply loop never materialises per-flip tuples.
+    /// [`PlaneLane::step`] call, derived lazily from the bands' changed
+    /// words: old codes from the back planes (the previous round) and new
+    /// ones from the front.  Valid until the next step.
     pub fn flips(&self) -> impl Iterator<Item = (u32, Color, Color)> + '_ {
-        let pc = self.plane_count;
-        self.band_patches.iter().flatten().flat_map(move |patch| {
-            let base = patch.word as usize * 64;
-            let mut mask = patch.changed;
-            std::iter::from_fn(move || {
-                if mask == 0 {
-                    return None;
-                }
-                let bit = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let (mut old, mut new) = (0u8, 0u8);
-                for p in 0..pc {
-                    old |= (((patch.old[p] >> bit) & 1) as u8) << p;
-                    new |= (((patch.new[p] >> bit) & 1) as u8) << p;
-                }
-                Some((
-                    (base + bit) as u32,
-                    self.palette[old as usize],
-                    self.palette[new as usize],
-                ))
+        self.band_changed
+            .iter()
+            .flatten()
+            .flat_map(move |&(w, changed)| {
+                let w = w as usize;
+                let mut mask = changed;
+                std::iter::from_fn(move || {
+                    if mask == 0 {
+                        return None;
+                    }
+                    let bit = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    let (mut old, mut new) = (0usize, 0usize);
+                    for (p, (before, after)) in self.back.iter().zip(&self.front).enumerate() {
+                        old |= (((before[w] >> bit) & 1) as usize) << p;
+                        new |= (((after[w] >> bit) & 1) as usize) << p;
+                    }
+                    Some(((w * 64 + bit) as u32, self.palette[old], self.palette[new]))
+                })
             })
-        })
     }
 
     /// Number of vertices changed by the last [`PlaneLane::step`] call.
@@ -992,7 +1171,8 @@ impl PlaneLane {
     /// Pins every future round to a full sweep (the reference of the
     /// equivalence tests and the frontier benchmarks).
     pub fn set_always_full(&mut self) {
-        self.worklist.set_always_full();
+        self.always_full = true;
+        mark_span(&mut self.dirty, 0, self.words);
     }
 
     /// Sets the number of row-band workers [`PlaneLane::step`] uses.
@@ -1000,8 +1180,9 @@ impl PlaneLane {
     /// Values are clamped to at least 1; the number of bands actually
     /// spawned is further bounded by how many tile-row-aligned bands the
     /// grid supports.  Results are bit-identical for every thread count
-    /// (evaluation reads only the frozen pre-round planes and writes
-    /// band-local buffers), so this is a pure throughput knob.
+    /// (evaluation reads only the front planes and each band writes only
+    /// its own word range of the back planes), so this is a pure
+    /// throughput knob.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
@@ -1028,9 +1209,8 @@ impl PlaneLane {
             None => 1,
         };
         self.band_plan = band_ranges(self.words, self.threads, align);
-        let bands = self.band_plan.len();
-        self.band_patches.resize_with(bands, Vec::new);
-        self.band_cands.resize_with(bands, Vec::new);
+        self.band_changed
+            .resize_with(self.band_plan.len(), Vec::new);
         self.planned_threads = self.threads;
     }
 
@@ -1039,42 +1219,34 @@ impl PlaneLane {
     fn code_of(&self, v: usize) -> u8 {
         let (w, b) = (v >> 6, v & 63);
         let mut code = 0u8;
-        for (p, plane) in self.planes.iter().enumerate() {
+        for (p, plane) in self.front.iter().enumerate() {
             code |= (((plane[w] >> b) & 1) as u8) << p;
         }
         code
     }
 
-    /// Evaluates one word against the pre-round planes.
-    fn eval_word(&self, w: u32) -> Option<Patch> {
-        match self.class[w as usize] {
-            WordClass::Fast => self.eval_vector(w, 0, 0),
-            WordClass::Wrap { west, east } => self.eval_vector(w, west, east),
-            WordClass::Slow => self.eval_slow(w),
-        }
-    }
-
-    /// The vectorised kernel: 64 vertices in one pass of word ops, valid
-    /// because fast and wrap words are full and share the interior
-    /// neighbour pattern (degree exactly 4) up to the `west`/`east`
-    /// row-wrap lanes.
-    fn eval_vector(&self, w: u32, west: u64, east: u64) -> Option<Patch> {
-        let wi = w as usize;
-        let base = wi * 64;
-        let pc = self.plane_count;
-
-        let mut own = [0u64; MAX_PLANES];
-        for (p, plane) in self.planes.iter().enumerate() {
-            own[p] = plane[wi];
-        }
+    /// The vectorised kernel: word `w`'s new value, valid because fast
+    /// and wrap words are full and share the interior neighbour pattern
+    /// (degree exactly 4) up to the `west`/`east` row-wrap lanes.
+    #[inline(always)]
+    fn eval_vector<const PC: usize, R: WordRule>(
+        &self,
+        front: &[&[u64]; PC],
+        rule: &R,
+        own: &[u64; PC],
+        w: usize,
+        west: u64,
+        east: u64,
+    ) -> [u64; PC] {
+        let base = w * 64;
         // One gathered word set per direction.  Classification guarantees
         // base >= cols and base >= 1, and that every gathered bit index is
         // a valid vertex, so the funnel shifts stay in bounds.
         let bases = [base - self.cols, base + self.cols, base - 1, base + 1];
-        let mut nb = [[0u64; MAX_PLANES]; 4];
-        for (d, &b) in bases.iter().enumerate() {
-            for (p, plane) in self.planes.iter().enumerate() {
-                nb[d][p] = gather(plane, b);
+        let mut nb = [[0u64; PC]; 4];
+        for (words, &b) in nb.iter_mut().zip(&bases) {
+            for (slot, plane) in words.iter_mut().zip(front) {
+                *slot = gather(plane, b);
             }
         }
         // Row-wrap lanes read one row further on (west) or back (east):
@@ -1085,87 +1257,31 @@ impl PlaneLane {
             (3, east, base + 1 - self.cols),
         ] {
             if mask != 0 {
-                for (p, plane) in self.planes.iter().enumerate() {
-                    nb[d][p] = (nb[d][p] & !mask) | (gather(plane, b) & mask);
+                for (slot, plane) in nb[d].iter_mut().zip(front) {
+                    *slot = (*slot & !mask) | (gather(plane, b) & mask);
                 }
             }
         }
-
-        let (changed, new) = match self.decision {
-            Decision::Plurality { min_pair, tie } => {
-                plurality_word(&nb, &own, pc, min_pair, tie, self.locked_code)
-            }
-            Decision::Activation {
-                code: Some(active),
-                threshold,
-            } => {
-                let code = usize::from(active);
-                let (hi, mid, low) = count4(
-                    indicator(&nb[0], pc, code),
-                    indicator(&nb[1], pc, code),
-                    indicator(&nb[2], pc, code),
-                    indicator(&nb[3], pc, code),
-                );
-                let reached = match threshold {
-                    0 => !0u64,
-                    1 => hi | mid | low,
-                    2 => hi | mid,
-                    3 => hi | (mid & low),
-                    4 => hi,
-                    _ => 0,
-                };
-                let mut changed = reached & !indicator(&own, pc, code);
-                if let Some(locked) = self.locked_code {
-                    changed &= !indicator(&own, pc, usize::from(locked));
-                }
-                let mut new = own;
-                for (p, slot) in new.iter_mut().enumerate().take(pc) {
-                    if (code >> p) & 1 == 1 {
-                        *slot |= changed;
-                    } else {
-                        *slot &= !changed;
-                    }
-                }
-                (changed, new)
-            }
-            // Activation colour absent with a positive threshold: inert.
-            Decision::Activation { code: None, .. } => return None,
-        };
-        if changed == 0 {
-            return None;
-        }
-        Some(Patch {
-            word: w,
-            changed,
-            old: own,
-            new,
-        })
+        rule.next(&nb, own)
     }
 
     /// The exact per-vertex path for boundary words, the partial tail
-    /// word and non-torus structure: counts neighbour codes straight off
-    /// the word's stored lists, at any degree.
-    fn eval_slow(&self, w: u32) -> Option<Patch> {
-        let wi = w as usize;
-        let start = wi * 64;
-        let mut changed = 0u64;
-        let mut old = [0u64; MAX_PLANES];
-        for (p, plane) in self.planes.iter().enumerate() {
-            old[p] = plane[wi];
-        }
-        let mut new = old;
-        for (lane, neighbors) in self.slow.of_word(w).enumerate() {
-            let v = start + lane;
-            let own = self.code_of(v);
+    /// word and non-torus structure: word `w`'s new value, counted from
+    /// neighbour codes straight off the word's stored lists, at any
+    /// degree.
+    fn eval_slow<const PC: usize>(&self, own: &[u64; PC], w: usize) -> [u64; PC] {
+        let start = w * 64;
+        let mut new = *own;
+        for (lane, neighbors) in self.slow.of_word(w as u32).enumerate() {
+            let code = self.code_of(start + lane);
             let mut counts = [0u32; MAX_PALETTE];
             for &u in neighbors {
                 counts[self.code_of(u as usize) as usize] += 1;
             }
-            let next = self.decide_one(own, &counts);
-            if next != own {
+            let next = self.decide_one(code, &counts);
+            if next != code {
                 let bit = 1u64 << lane;
-                changed |= bit;
-                for (p, slot) in new.iter_mut().enumerate().take(self.plane_count) {
+                for (p, slot) in new.iter_mut().enumerate() {
                     if (next >> p) & 1 == 1 {
                         *slot |= bit;
                     } else {
@@ -1174,12 +1290,7 @@ impl PlaneLane {
                 }
             }
         }
-        (changed != 0).then_some(Patch {
-            word: w,
-            changed,
-            old,
-            new,
-        })
+        new
     }
 
     /// The compiled rule on one vertex's per-code neighbour counts —
@@ -1229,20 +1340,52 @@ impl PlaneLane {
         }
     }
 
-    /// The full tiled sweep over one band's word range, accumulating
-    /// patches and their summary band-locally.
+    /// Evaluates word `w` against the front planes, writes its new value
+    /// into the band's back planes, and records and accounts it if it
+    /// changed.
+    #[inline(always)]
+    fn visit<const PC: usize, R: WordRule>(
+        &self,
+        front: &[&[u64]; PC],
+        rule: &R,
+        w: usize,
+        out: &mut BandOut<'_, PC>,
+        sum: &mut BandSum,
+    ) {
+        let own: [u64; PC] = std::array::from_fn(|p| front[p][w]);
+        let new = match self.class[w] {
+            WordClass::Fast => self.eval_vector(front, rule, &own, w, 0, 0),
+            WordClass::Wrap { west, east } => {
+                let (west, east) = (wrap_lanes(west, self.cols), wrap_lanes(east, self.cols));
+                self.eval_vector(front, rule, &own, w, west, east)
+            }
+            WordClass::Slow => self.eval_slow(&own, w),
+        };
+        let local = w - out.start;
+        let mut changed = 0u64;
+        for ((plane, &after), &before) in out.back.iter_mut().zip(&new).zip(&own) {
+            plane[local] = after;
+            changed |= after ^ before;
+        }
+        if changed != 0 {
+            out.changed.push((w as u32, changed));
+            sum.record(w, changed, (&own, &new), self.hash.is_some());
+        }
+    }
+
+    /// The full tiled sweep over one band's word range.
     ///
     /// Tiling applies when the range covers whole torus rows (band
     /// alignment guarantees it on tiled grids); otherwise the range
     /// streams in linear word order.
-    fn eval_dense_range(
+    fn sweep_dense<const PC: usize, R: WordRule>(
         &self,
-        start_w: usize,
-        end_w: usize,
-        out: &mut Vec<Patch>,
-        delta: &mut BandDelta,
+        front: &[&[u64]; PC],
+        rule: &R,
+        (start_w, end_w): (usize, usize),
+        out: &mut BandOut<'_, PC>,
+        sum: &mut BandSum,
     ) {
-        let pc = self.plane_count;
         match self.tile_geometry {
             Some((_, words_per_row))
                 if start_w.is_multiple_of(words_per_row) && end_w.is_multiple_of(words_per_row) =>
@@ -1253,11 +1396,7 @@ impl PlaneLane {
                     for tile_col in (0..words_per_row).step_by(TILE_WORD_COLS) {
                         for r in tile_row..(tile_row + TILE_ROWS).min(row1) {
                             for wc in tile_col..(tile_col + TILE_WORD_COLS).min(words_per_row) {
-                                let w = (r * words_per_row + wc) as u32;
-                                if let Some(p) = self.eval_word(w) {
-                                    delta.account(&p, pc);
-                                    out.push(p);
-                                }
+                                self.visit(front, rule, r * words_per_row + wc, out, sum);
                             }
                         }
                     }
@@ -1265,22 +1404,28 @@ impl PlaneLane {
             }
             _ => {
                 for w in start_w..end_w {
-                    if let Some(p) = self.eval_word(w as u32) {
-                        delta.account(&p, pc);
-                        out.push(p);
-                    }
+                    self.visit(front, rule, w, out, sum);
                 }
             }
         }
     }
 
-    /// The worklist path over one band's candidate bucket.
-    fn eval_candidates(&self, cands: &[u32], out: &mut Vec<Patch>, delta: &mut BandDelta) {
-        let pc = self.plane_count;
-        for &w in cands {
-            if let Some(p) = self.eval_word(w) {
-                delta.account(&p, pc);
-                out.push(p);
+    /// The worklist path: one band's candidate words, read off the dirty
+    /// bitmap in ascending order.
+    fn sweep_sparse<const PC: usize, R: WordRule>(
+        &self,
+        front: &[&[u64]; PC],
+        rule: &R,
+        (start_w, end_w): (usize, usize),
+        out: &mut BandOut<'_, PC>,
+        sum: &mut BandSum,
+    ) {
+        for (i, mask) in bit_span(start_w, end_w) {
+            let mut bits = self.dirty[i] & mask;
+            while bits != 0 {
+                let w = i * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.visit(front, rule, w, out, sum);
             }
         }
     }
@@ -1293,130 +1438,165 @@ impl PlaneLane {
     /// flips or their neighbours).  Evaluation is partitioned into
     /// tile-aligned row bands (one worker each, see [`crate::parallel`])
     /// and each band independently chooses dense or sparse execution: a
-    /// band whose candidate bucket covers ≳62.5 % of its words re-runs
-    /// the full tiled sweep instead of chasing the worklist, which is
-    /// exact because a word absent from the worklist cannot change (its
-    /// evaluation is a no-op), so the dense superset yields the identical
-    /// patch set.  Changes are available through [`PlaneLane::flips`]
-    /// until the next step.
+    /// band whose candidates cover ≳62.5 % of its words re-runs the full
+    /// tiled sweep instead of chasing the worklist, which is exact because
+    /// a word absent from the worklist cannot change (its evaluation is a
+    /// no-op), so the dense superset yields the identical change set.
+    /// Changes are available through [`PlaneLane::flips`] until the next
+    /// step.
     pub fn step(&mut self) -> usize {
+        match self.plane_count {
+            1 => self.step_planes::<1>(),
+            2 => self.step_planes::<2>(),
+            3 => self.step_planes::<3>(),
+            _ => self.step_planes::<4>(),
+        }
+    }
+
+    /// [`PlaneLane::step`] at `PC` planes: picks the compiled rule's word
+    /// update once for the whole round.
+    fn step_planes<const PC: usize>(&mut self) -> usize {
+        let locked = self.locked_code;
+        match self.decision {
+            Decision::Plurality { min_pair, tie } => self.round::<PC, _>(PluralityWord {
+                min_pair,
+                tie,
+                locked,
+            }),
+            Decision::Activation {
+                code: Some(code),
+                threshold,
+            } => self.round::<PC, _>(ActivationWord {
+                code: usize::from(code),
+                threshold,
+                locked,
+            }),
+            // Activation colour absent with a positive threshold: inert.
+            Decision::Activation { code: None, .. } => self.round::<PC, _>(Inert),
+        }
+    }
+
+    /// One round at `PC` planes under `rule`: the bands sweep against the
+    /// front planes into the back planes, then the sets swap and next
+    /// round's candidates are marked.
+    fn round<const PC: usize, R: WordRule>(&mut self, rule: R) -> usize {
         self.ensure_plan();
-        self.flipped = 0;
-        let full = self.worklist.is_full_round();
-        let bands = self.band_plan.len();
-
-        // Bucket the candidate words by owning band (bands are contiguous
-        // and start at 0, so a binary search over starts places each).
-        let mut band_cands = std::mem::take(&mut self.band_cands);
-        for bucket in &mut band_cands {
-            bucket.clear();
-        }
-        if !full {
-            if bands == 1 {
-                band_cands[0].extend_from_slice(self.worklist.candidates());
-            } else {
-                for &w in self.worklist.candidates() {
-                    let band = self
-                        .band_plan
-                        .partition_point(|&(start, _)| start <= w as usize)
-                        - 1;
-                    band_cands[band].push(w);
-                }
+        // Each band writes only its own word range of every back plane.
+        let mut back = std::mem::take(&mut self.back);
+        let mut band_changed = std::mem::take(&mut self.band_changed);
+        let sums = {
+            let mut planes = back.iter_mut();
+            let mut rest: [&mut [u64]; PC] =
+                std::array::from_fn(|_| planes.next().expect("a back plane").as_mut_slice());
+            let mut outs = Vec::with_capacity(self.band_plan.len());
+            for (&(start, end), changed) in self.band_plan.iter().zip(&mut band_changed) {
+                changed.clear();
+                let back = std::array::from_fn(|p| {
+                    let (band, tail) = std::mem::take(&mut rest[p]).split_at_mut(end - start);
+                    rest[p] = tail;
+                    band
+                });
+                outs.push(BandOut {
+                    start,
+                    back,
+                    changed,
+                });
             }
-        }
-
-        // The hybrid dense/sparse crossover, per band: the worklist path
-        // costs roughly a per-candidate dispatch that the tiled sweep
-        // amortises away, so once a band's bucket passes ~5/8 of its
-        // words the full sweep is cheaper (calibrated on the BENCH_6
-        // scatter workloads, where near-full buckets made sparse k=8
-        // rounds pay the 3-plane gather tax word by word).
-        let dense: Vec<bool> = self
-            .band_plan
-            .iter()
-            .enumerate()
-            .map(|(b, &(start, end))| full || band_cands[b].len() * 8 >= (end - start) * 5)
-            .collect();
-
-        // Evaluate all bands against the frozen pre-round planes; each
-        // worker owns one patch buffer and returns its flip/plane-count/
-        // hash summary.  `run_bands` is the barrier that publishes the
-        // round.
-        let mut band_patches = std::mem::take(&mut self.band_patches);
-        for buffer in &mut band_patches {
-            buffer.clear();
-        }
-        let lane = &*self;
-        let deltas = run_bands(
-            &lane.band_plan,
-            &mut band_patches,
-            |band, start, end, out| {
-                let mut delta = BandDelta::default();
-                if dense[band] {
-                    lane.eval_dense_range(start, end, out, &mut delta);
+            let lane = &*self;
+            let front: [&[u64]; PC] = std::array::from_fn(|p| lane.front[p].as_slice());
+            run_bands(&lane.band_plan, &mut outs, |_, start, end, out| {
+                // The hybrid dense/sparse crossover, per band: the
+                // worklist path costs roughly a per-candidate dispatch
+                // that the tiled sweep amortises away, so once a band's
+                // candidates pass ~5/8 of its words the full sweep is
+                // cheaper (calibrated on the BENCH_6 scatter workloads,
+                // where near-full buckets made sparse k=8 rounds pay the
+                // 3-plane gather tax word by word).
+                let candidates: usize = bit_span(start, end)
+                    .map(|(i, mask)| (lane.dirty[i] & mask).count_ones() as usize)
+                    .sum();
+                let mut sum = BandSum::default();
+                if candidates * 8 >= (end - start) * 5 {
+                    sum.dense = true;
+                    sum.words = end - start;
+                    lane.sweep_dense(&front, &rule, (start, end), out, &mut sum);
                 } else {
-                    lane.eval_candidates(&band_cands[band], out, &mut delta);
+                    sum.words = candidates;
+                    lane.sweep_sparse(&front, &rule, (start, end), out, &mut sum);
                 }
-                if lane.hash.is_some() {
-                    delta.rekey(out, lane.plane_count);
-                }
-                delta
-            },
-        );
+                sum
+            })
+        };
+        self.back = back;
+        std::mem::swap(&mut self.front, &mut self.back);
 
-        // Merge phase: the workers already counted flips, plane-count
-        // movement and hash changes, so the sequential section only writes
-        // the new plane words and marks the worklist — order across bands
-        // is irrelevant (each word has at most one patch).
-        for delta in &deltas {
-            self.flipped += delta.flips;
-            for (n, &moved) in self.ones.iter_mut().zip(&delta.ones) {
+        self.flipped = 0;
+        (self.last_dense_bands, self.last_sparse_bands) = (0, 0);
+        let mut words_evaluated = 0;
+        for sum in &sums {
+            self.flipped += sum.flips;
+            for (n, &moved) in self.ones.iter_mut().zip(&sum.ones) {
                 *n = (*n as i64 + moved) as usize;
             }
             if let Some(hash) = &mut self.hash {
-                *hash ^= delta.hash;
+                *hash ^= sum.hash;
             }
-        }
-        for patch in band_patches.iter().flatten() {
-            let wi = patch.word as usize;
-            for (p, plane) in self.planes.iter_mut().enumerate() {
-                plane[wi] = patch.new[p];
-            }
-        }
-
-        self.last_dense_bands = 0;
-        self.last_sparse_bands = 0;
-        let mut words_evaluated = 0u64;
-        for (b, &(start, end)) in self.band_plan.iter().enumerate() {
-            if dense[b] {
+            if sum.dense {
                 self.last_dense_bands += 1;
-                words_evaluated += (end - start) as u64;
             } else {
                 self.last_sparse_bands += 1;
-                words_evaluated += band_cands[b].len() as u64;
             }
+            words_evaluated += sum.words as u64;
         }
         self.last_cells_evaluated = words_evaluated * 64;
-        self.band_patches = band_patches;
-        self.band_cands = band_cands;
 
-        self.worklist.begin_next();
-        if !self.worklist.always_full() {
-            // Word-granular propagation: a changed word dirties itself and
-            // the handful of words holding neighbours of its vertices
-            // (a safe superset of the per-flip marks, with no list walk).
-            for patch in self.band_patches.iter().flatten() {
-                let w = patch.word;
-                self.worklist.mark(w);
-                let from = self.mark_offsets[w as usize] as usize;
-                let to = self.mark_offsets[w as usize + 1] as usize;
-                for &u in &self.mark_words[from..to] {
-                    self.worklist.mark(u);
+        if !self.always_full {
+            self.mark_next(&band_changed);
+        }
+        self.band_changed = band_changed;
+        self.flipped
+    }
+
+    /// Marks next round's candidates: every changed word and the words
+    /// holding its vertices' neighbours (a safe superset of the per-flip
+    /// marks, with no list walk).
+    ///
+    /// A band whose changed words alone reach the dense crossover runs
+    /// dense next round whatever else is marked, so its whole range is
+    /// marked instead; its changed words then mark only their neighbours
+    /// in other bands, which keeps every other band's candidates exact.
+    fn mark_next(&mut self, band_changed: &[Vec<(u32, u64)>]) {
+        self.dirty.fill(0);
+        let several = self.band_plan.len() > 1;
+        for (&(start, end), changed) in self.band_plan.iter().zip(band_changed) {
+            let dense_next = changed.len() * 8 >= (end - start) * 5;
+            if dense_next {
+                mark_span(&mut self.dirty, start, end);
+                if !several {
+                    continue;
+                }
+            }
+            let band = start..end;
+            for &(w, _) in changed {
+                let w = w as usize;
+                let from = self.mark_offsets[w] as usize;
+                let to = self.mark_offsets[w + 1] as usize;
+                let words =
+                    std::iter::once(w as u32).chain(self.mark_words[from..to].iter().copied());
+                for u in words {
+                    if !(dense_next && band.contains(&(u as usize))) {
+                        self.dirty[u as usize >> 6] |= 1 << (u & 63);
+                    }
                 }
             }
         }
-        self.worklist.finish_round();
-        self.flipped
+    }
+}
+
+/// Sets bits `start..end` of a word bitmap.
+fn mark_span(bitmap: &mut [u64], start: usize, end: usize) {
+    for (i, mask) in bit_span(start, end) {
+        bitmap[i] |= mask;
     }
 }
 
@@ -1482,10 +1662,90 @@ mod tests {
         for round in 0..12 {
             let expected = reference_round(&adjacency, &rule, &colors);
             let flips = lane.step();
-            let changed = expected.iter().zip(&colors).filter(|(a, b)| a != b).count();
-            assert_eq!(flips, changed, "flip count diverges at round {round}");
+            let changed = reference_flips(&colors, &expected);
+            assert_eq!(flips, changed.len(), "flip count diverges at round {round}");
             assert_eq!(lane.snapshot(), expected, "state diverges at round {round}");
+            assert_eq!(
+                sorted_flips(&lane),
+                changed,
+                "flips diverge at round {round}"
+            );
             colors = expected;
+        }
+    }
+
+    /// The `(vertex, old, new)` changes from `before` to `after`, in
+    /// vertex order.
+    fn reference_flips(before: &[Color], after: &[Color]) -> Vec<(u32, Color, Color)> {
+        before
+            .iter()
+            .zip(after)
+            .enumerate()
+            .filter(|(_, (old, new))| old != new)
+            .map(|(v, (&old, &new))| (v as u32, old, new))
+            .collect()
+    }
+
+    /// The lane's last-step [`PlaneLane::flips`], in vertex order.
+    fn sorted_flips(lane: &PlaneLane) -> Vec<(u32, Color, Color)> {
+        let mut flips: Vec<_> = lane.flips().collect();
+        flips.sort_unstable();
+        flips
+    }
+
+    #[test]
+    fn sparse_rounds_keep_the_back_buffer_current() {
+        // A checkerboard strip two rows high, across the whole width of
+        // a toroidal mesh, flips every round (period 2), while a lone
+        // colour-3 vertex and a colour-3 plus far from it die in rounds 1
+        // and 2 and leave their words unchanged from then on.  Every
+        // round after the first is sparse, so each round writes back only
+        // its candidates, until the full sweep is switched on mid-run.
+        let (m, n) = (24, 256);
+        let torus = Torus::new(TorusKind::ToroidalMesh, m, n);
+        let adjacency = Adjacency::from_torus(&torus);
+        let mut start = vec![c(1); m * n];
+        for r in 2..4 {
+            for col in (r % 2..n).step_by(2) {
+                start[r * n + col] = c(2);
+            }
+        }
+        start[12 * n + 70] = c(3);
+        for v in [
+            16 * n + 200,
+            15 * n + 200,
+            17 * n + 200,
+            16 * n + 199,
+            16 * n + 201,
+        ] {
+            start[v] = c(3);
+        }
+        let rule = ColorCountRule::plurality(2);
+        for threads in [1, 2] {
+            let mut lane = PlaneLane::for_torus(&torus, &start, &rule).unwrap();
+            lane.set_threads(threads);
+            let mut colors = start.clone();
+            for round in 0..12 {
+                let context = format!("threads {threads}, round {round}");
+                if round == 8 {
+                    lane.set_always_full();
+                }
+                let expected = reference_round(&adjacency, &rule, &colors);
+                lane.step();
+                assert_eq!(lane.snapshot(), expected, "{context}");
+                let changed = reference_flips(&colors, &expected);
+                assert_eq!(sorted_flips(&lane), changed, "{context}");
+                if round >= 2 {
+                    assert_eq!(changed.len(), 2 * n, "{context}: only the strip flips");
+                }
+                let (dense, sparse, _) = lane.last_step_profile();
+                assert_eq!((dense + sparse) as usize, threads, "{context}: bands");
+                match round {
+                    0 | 8.. => assert_eq!(sparse, 0, "{context}: dense"),
+                    _ => assert_eq!(dense, 0, "{context}: sparse"),
+                }
+                colors = expected;
+            }
         }
     }
 
@@ -1498,31 +1758,40 @@ mod tests {
     }
 
     /// Packs up to 64 `(own, [N, S, W, E])` code tuples into the lanes of
-    /// one word, runs [`plurality_word`] on it and checks every lane
-    /// against [`PlaneLane::decide_one`].
+    /// one word, runs [`plurality_word`] on it at the lane's plane count
+    /// and checks every lane against [`PlaneLane::decide_one`].
     fn check_plurality_lanes(lane: &PlaneLane, tuples: &[(u8, [u8; 4])]) {
+        match lane.plane_count {
+            1 => check_plurality_lanes_at::<1>(lane, tuples),
+            2 => check_plurality_lanes_at::<2>(lane, tuples),
+            3 => check_plurality_lanes_at::<3>(lane, tuples),
+            _ => check_plurality_lanes_at::<4>(lane, tuples),
+        }
+    }
+
+    fn check_plurality_lanes_at<const PC: usize>(lane: &PlaneLane, tuples: &[(u8, [u8; 4])]) {
         let Decision::Plurality { min_pair, tie } = lane.decision else {
             panic!("not a plurality lane");
         };
-        let pc = lane.plane_count;
-        let mut own = [0u64; MAX_PLANES];
-        let mut nb = [[0u64; MAX_PLANES]; 4];
+        assert_eq!(lane.plane_count, PC);
+        let mut own = [0u64; PC];
+        let mut nb = [[0u64; PC]; 4];
         for (i, &(o, codes)) in tuples.iter().enumerate() {
-            for p in 0..pc {
+            for p in 0..PC {
                 own[p] |= u64::from((o >> p) & 1) << i;
                 for (d, &code) in codes.iter().enumerate() {
                     nb[d][p] |= u64::from((code >> p) & 1) << i;
                 }
             }
         }
-        let (changed, new) = plurality_word(&nb, &own, pc, min_pair, tie, lane.locked_code);
+        let (changed, new) = plurality_word(&nb, &own, min_pair, tie, lane.locked_code);
         for (i, &(o, codes)) in tuples.iter().enumerate() {
             let mut counts = [0u32; MAX_PALETTE];
             for &code in &codes {
                 counts[usize::from(code)] += 1;
             }
             let expected = lane.decide_one(o, &counts);
-            let got = (0..pc).fold(0u8, |code, p| code | (((new[p] >> i) & 1) as u8) << p);
+            let got = (0..PC).fold(0u8, |code, p| code | (((new[p] >> i) & 1) as u8) << p);
             let context = format!(
                 "own {o}, neighbours {codes:?}, min_pair {min_pair}, tie {tie:?}, locked {:?}",
                 lane.locked_code
@@ -1790,6 +2059,50 @@ mod tests {
     }
 
     #[test]
+    fn a_band_that_skips_its_marks_still_marks_the_next_band() {
+        // Two bands on a 32×128 mesh: rows 0–15 and 16–31.  Under
+        // threshold-2 activation of colour 2, band 0's checkerboard fills
+        // in round 1, so every band-0 word changes and band 0 skips its
+        // marks.  Row 16 then sees colour 2 above (16, 40), which already
+        // has it below: that vertex changes in round 2 although nothing in
+        // band 1 changed in round 1, so only band 0's cross-band marks make
+        // its word a candidate; from there it spreads along row 16.
+        let (m, n) = (32, 128);
+        let torus = Torus::new(TorusKind::ToroidalMesh, m, n);
+        let adjacency = Adjacency::from_torus(&torus);
+        let mut start = vec![c(1); m * n];
+        for r in 0..16 {
+            for col in (r % 2..n).step_by(2) {
+                start[r * n + col] = c(2);
+            }
+        }
+        start[17 * n + 40] = c(2);
+        let rule = ColorCountRule::activation(c(2), 2);
+        for threads in [1, 2] {
+            let mut lane = PlaneLane::for_torus(&torus, &start, &rule).unwrap();
+            lane.set_threads(threads);
+            let mut colors = start.clone();
+            for round in 0..10 {
+                let context = format!("threads {threads}, round {round}");
+                let expected = reference_round(&adjacency, &rule, &colors);
+                lane.step();
+                assert_eq!(lane.snapshot(), expected, "{context}");
+                assert_eq!(
+                    sorted_flips(&lane),
+                    reference_flips(&colors, &expected),
+                    "{context}"
+                );
+                if threads == 2 && round == 1 {
+                    let (dense, sparse, _) = lane.last_step_profile();
+                    assert_eq!((dense, sparse), (1, 1), "{context}");
+                    assert_eq!(expected[16 * n + 40], c(2), "{context}");
+                }
+                colors = expected;
+            }
+        }
+    }
+
+    #[test]
     fn hybrid_dense_rounds_match_the_sparse_path() {
         // A quiescing pattern: one active block in a monochrome sea.  The
         // first frontier rounds are near-full (dense crossover fires),
@@ -1887,24 +2200,19 @@ mod tests {
         let colors = scatter_colors(4 * 128, 3, 11);
         let lane = PlaneLane::for_torus(&torus, &colors, &ColorCountRule::plurality(2)).unwrap();
         // Row 1 spans words 2 and 3.
-        assert_eq!(lane.class[2], WordClass::Wrap { west: 1, east: 0 });
-        assert_eq!(
-            lane.class[3],
-            WordClass::Wrap {
-                west: 0,
-                east: 1 << 63,
-            }
-        );
+        assert_eq!(lane.class[2], WordClass::Wrap { west: 0, east: 64 });
+        assert_eq!(lane.class[3], WordClass::Wrap { west: 64, east: 63 });
+        assert_eq!((wrap_lanes(0, 128), wrap_lanes(64, 128)), (1, 0));
+        assert_eq!(wrap_lanes(63, 128), 1 << 63);
         // On a 16-wide mesh a word holds four rows, hence four wrap lanes
         // each way; only the words touching row 0 or row 15 stay slow.
         let torus = Torus::new(TorusKind::ToroidalMesh, 16, 16);
         let colors = scatter_colors(16 * 16, 2, 11);
         let lane = PlaneLane::for_torus(&torus, &colors, &ColorCountRule::plurality(2)).unwrap();
-        let rows = WordClass::Wrap {
-            west: 0x0001_0001_0001_0001,
-            east: 0x8000_8000_8000_8000,
-        };
+        let rows = WordClass::Wrap { west: 0, east: 15 };
         assert_eq!(lane.class, [WordClass::Slow, rows, rows, WordClass::Slow]);
+        assert_eq!(wrap_lanes(0, 16), 0x0001_0001_0001_0001);
+        assert_eq!(wrap_lanes(15, 16), 0x8000_8000_8000_8000);
     }
 
     /// The reference classification: every word checked against the
@@ -1946,7 +2254,15 @@ mod tests {
             *slot = if west | east == 0 {
                 WordClass::Fast
             } else {
-                WordClass::Wrap { west, east }
+                // The walked lanes are what the first ones spread to.
+                let first = |lanes: u64| lanes.trailing_zeros() as u8;
+                let (west_first, east_first) = (first(west), first(east));
+                let spread = (wrap_lanes(west_first, cols), wrap_lanes(east_first, cols));
+                assert_eq!(spread, (west, east), "word {w}: wrap lanes");
+                WordClass::Wrap {
+                    west: west_first,
+                    east: east_first,
+                }
             };
         }
         class
