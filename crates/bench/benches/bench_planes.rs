@@ -11,7 +11,7 @@
 //! `CTORI_BENCH_ASSERT_SPEEDUP` is set, so an ordinary `cargo bench` run
 //! stays measurement-only and cannot flake on a loaded machine.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use ctori_bench::multicolor_scatter;
 use ctori_coloring::Color;
 use ctori_engine::Simulator;
@@ -113,6 +113,8 @@ fn bench_planes_vs_generic_threshold(c: &mut Criterion) {
 /// from one plane (2 colours) to four (16).  The plurality kernel compares
 /// neighbour pairs, so its cost per cell follows the plane count (one word
 /// per plane in each gather and pair compare), not the number of colours.
+/// Each iteration times its rounds alone: the simulator is built outside
+/// the timer.
 fn bench_planes_palette_sweep(c: &mut Criterion) {
     let size = 512usize;
     let rounds = 8u32;
@@ -128,13 +130,20 @@ fn bench_planes_palette_sweep(c: &mut Criterion) {
                 BenchmarkId::new(kind.name().replace(' ', "_"), palette),
                 &palette,
                 |b, _| {
-                    b.iter(|| {
-                        let mut sim = Simulator::new(&torus, SmpProtocol, coloring.clone());
-                        assert!(sim.uses_plane_lane());
-                        for _ in 0..rounds {
-                            black_box(sim.step());
-                        }
-                    });
+                    b.iter_batched(
+                        || {
+                            let sim = Simulator::new(&torus, SmpProtocol, coloring.clone());
+                            assert!(sim.uses_plane_lane());
+                            sim
+                        },
+                        |mut sim| {
+                            for _ in 0..rounds {
+                                black_box(sim.step());
+                            }
+                            sim
+                        },
+                        BatchSize::LargeInput,
+                    );
                 },
             );
         }
@@ -143,9 +152,8 @@ fn bench_planes_palette_sweep(c: &mut Criterion) {
 }
 
 /// Measurement-only: big-grid's 2048² class through the kernel, 12 SMP
-/// rounds on a palette-8 toroidal-mesh scatter (three planes).  The
-/// group's time per iteration includes building the simulator; the line
-/// printed after it times the 12 rounds alone, best of five.
+/// rounds on a palette-8 toroidal-mesh scatter (three planes), timed
+/// alone: the simulator is built outside the timer.
 fn bench_planes_smp_2048(c: &mut Criterion) {
     let torus = Torus::new(TorusKind::ToroidalMesh, 2048, 2048);
     let coloring = multicolor_scatter(&torus, 8, 8);
@@ -155,33 +163,22 @@ fn bench_planes_smp_2048(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(cells * u64::from(rounds)));
     group.bench_function("toroidal_mesh/8", |b| {
-        b.iter(|| {
-            let mut sim = Simulator::new(&torus, SmpProtocol, coloring.clone());
-            assert!(sim.uses_plane_lane());
-            for _ in 0..rounds {
-                black_box(sim.step());
-            }
-        });
+        b.iter_batched(
+            || {
+                let sim = Simulator::new(&torus, SmpProtocol, coloring.clone());
+                assert!(sim.uses_plane_lane());
+                sim
+            },
+            |mut sim| {
+                for _ in 0..rounds {
+                    black_box(sim.step());
+                }
+                sim
+            },
+            BatchSize::LargeInput,
+        );
     });
     group.finish();
-
-    let best = (0..5)
-        .map(|_| {
-            let mut sim = Simulator::new(&torus, SmpProtocol, coloring.clone());
-            let start = Instant::now();
-            for _ in 0..rounds {
-                black_box(sim.step());
-            }
-            start.elapsed()
-        })
-        .min()
-        .expect("five runs");
-    println!(
-        "planes_smp_2048 (2048x2048 toroidal mesh, palette 8, SMP, {rounds} rounds, best of 5): \
-         {:.2} ms per round, {:.2} Gcell/s",
-        best.as_secs_f64() * 1e3 / f64::from(rounds),
-        cells as f64 * f64::from(rounds) / best.as_secs_f64() / 1e9,
-    );
 }
 
 /// Criterion configuration shared by this file: shorter warm-up and

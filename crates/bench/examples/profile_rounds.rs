@@ -1,6 +1,6 @@
 //! Round-by-round hybrid-lane profile on two canned workloads.
 //!
-//! For each synchronous round this prints the flip count, the per-band
+//! For each synchronous round this prints the flip count, the one
 //! dense/sparse decision the hybrid plane lane made (from
 //! [`ctori_engine::StepStats`] deltas), and the per-round time of the
 //! plane lane versus the two static generic references (incremental
@@ -24,14 +24,14 @@
 
 use ctori_bench::multicolor_scatter;
 use ctori_coloring::{Color, Coloring, ColoringBuilder};
-use ctori_engine::{default_threads, Simulator};
+use ctori_engine::Simulator;
 use ctori_protocols::ThresholdRule;
 use ctori_topology::{Torus, TorusKind};
 use std::time::Instant;
 
 /// Mostly colour 1 with a checkerboard patch of the activation colour:
 /// the patch fills in over the first rounds (dense activity in its
-/// bands), then the system quiesces and the flips collapse to the patch
+/// rows), then the system quiesces and the flips collapse to the patch
 /// boundary.
 fn quiescing_patch(torus: &Torus, k: u16) -> Coloring {
     let mut builder = ColoringBuilder::filled(torus, Color::new(1));
@@ -50,14 +50,13 @@ fn quiescing_patch(torus: &Torus, k: u16) -> Coloring {
 /// Profiles one workload; returns (hybrid_total_s, best_static_total_s).
 fn profile(name: &str, torus: &Torus, k: u16, coloring: Coloring, rounds: usize) -> (f64, f64) {
     let rule = ThresholdRule::new(Color::new(k), 2);
-    let threads = default_threads().max(1);
-    let mut hybrid = Simulator::new(torus, rule, coloring.clone()).with_step_threads(threads);
+    let mut hybrid = Simulator::new(torus, rule, coloring.clone());
     assert!(hybrid.uses_plane_lane());
     let mut sparse = Simulator::new(torus, rule, coloring.clone()).with_generic_lane();
     let mut dense = Simulator::new(torus, rule, coloring)
         .with_generic_lane()
         .with_full_sweep();
-    println!("== {name} (k={k}, threads={threads}) ==");
+    println!("== {name} (k={k}) ==");
     println!(
         "{:>5} {:>9} {:>12} {:>12} {:>12} {:>12}",
         "round", "flips", "decision", "hybrid_us", "sparse_us", "dense_us"
@@ -83,14 +82,10 @@ fn profile(name: &str, torus: &Torus, k: u16, coloring: Coloring, rounds: usize)
             flips, dense_flips,
             "{name}: lanes diverged at round {round}"
         );
-        let (db, sb) = (
-            after.dense_bands - before.dense_bands,
-            after.sparse_bands - before.sparse_bands,
-        );
-        let decision = match (db, sb) {
-            (_, 0) => "dense".to_string(),
-            (0, _) => "sparse".to_string(),
-            _ => format!("{db}d/{sb}s"),
+        let decision = if after.dense_rounds > before.dense_rounds {
+            "dense"
+        } else {
+            "sparse"
         };
         println!(
             "{round:>5} {flips:>9} {decision:>12} {hybrid_us:>12.0} {sparse_us:>12.0} \

@@ -956,10 +956,6 @@ struct PoolState {
     queue: BinaryHeap<QueueRef>,
     queued: usize, // queue entries that are still in state Queued
     running: usize,
-    /// Extra pool slots lent to running jobs as step-threads: a job
-    /// stepping with `T` threads counts as `T` slots (`1` in `running`,
-    /// `T - 1` here), so band-parallel runs never oversubscribe the pool.
-    borrowed: usize,
     jobs: HashMap<u64, JobRecord>,
     /// Terminal job ids, oldest first — the retention window.
     terminal_order: VecDeque<u64>,
@@ -1059,7 +1055,6 @@ impl LocalExecutor {
                 queue: BinaryHeap::new(),
                 queued: 0,
                 running: 0,
-                borrowed: 0,
                 jobs: HashMap::new(),
                 terminal_order: VecDeque::new(),
                 counters: Counters::default(),
@@ -1474,24 +1469,7 @@ fn worker_loop(shared: &Shared) {
                     shared.metrics.queue_wait_us.record(waited / 1_000);
                     state.queued -= 1;
                     state.running += 1;
-                    // A job stepping with T threads counts as T pool
-                    // slots: this worker is one, and up to T-1 extra are
-                    // borrowed from idle capacity so band-parallel runs
-                    // never oversubscribe the pool.  `threads=auto`
-                    // resolves pool-aware — to 1 — because the pool is
-                    // already saturated with whole jobs.
-                    let requested = spec.options.threads;
-                    let step_threads = if requested > 1 {
-                        let idle = shared
-                            .workers
-                            .saturating_sub(state.running + state.borrowed);
-                        let extra = (requested - 1).min(idle);
-                        state.borrowed += extra;
-                        1 + extra
-                    } else {
-                        1
-                    };
-                    break Some((entry.id, key, spec, log, claimed_at, step_threads));
+                    break Some((entry.id, key, spec, log, claimed_at));
                 }
                 None if state.shutdown => break None,
                 None => {
@@ -1499,7 +1477,7 @@ fn worker_loop(shared: &Shared) {
                 }
             }
         };
-        let Some((id, key, spec, log, claimed_at, step_threads)) = claimed else {
+        let Some((id, key, spec, log, claimed_at)) = claimed else {
             return; // drained and shutting down
         };
         drop(state);
@@ -1514,7 +1492,6 @@ fn worker_loop(shared: &Shared) {
         if let Some(outcome) = cached {
             state = shared.state.lock().expect("pool poisoned");
             state.running -= 1;
-            state.borrowed -= step_threads - 1;
             // lint: allow(panic) Running jobs are never cancelled or
             // evicted, so the record outlives the worker
             let record = state.jobs.get_mut(&id).expect("running job exists");
@@ -1540,8 +1517,7 @@ fn worker_loop(shared: &Shared) {
             continue;
         }
 
-        // Execute with the slots reserved at claim time (1 when the spec
-        // did not explicitly ask for step-parallelism).  The publisher
+        // Execute on this worker, the job's one pool slot.  The publisher
         // touches only the job's own log, never the pool lock.
         let stride = spec.options.progress_stride();
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -1549,7 +1525,7 @@ fn worker_loop(shared: &Shared) {
                 log: Arc::clone(&log),
                 stride,
             };
-            Runner::with_threads(step_threads).execute_observed(&spec, &mut publisher)
+            Runner::with_threads(1).execute_observed(&spec, &mut publisher)
         }));
         let result = match result {
             Ok(outcome) => {
@@ -1565,7 +1541,6 @@ fn worker_loop(shared: &Shared) {
 
         state = shared.state.lock().expect("pool poisoned");
         state.running -= 1;
-        state.borrowed -= step_threads - 1;
         // lint: allow(panic) Running jobs are never cancelled or evicted,
         // so the record outlives the worker
         let record = state.jobs.get_mut(&id).expect("running job exists");
@@ -1800,28 +1775,20 @@ mod tests {
     }
 
     #[test]
-    fn explicit_step_threads_borrow_pool_slots_and_keep_outcomes() {
-        // A 1-worker pool has no idle capacity to lend: a spec asking
-        // for 8 step-threads still completes, stepping sequentially, and
-        // the outcome matches the plain runner bit for bit.
-        let pool = small_pool(1);
-        let threaded = spec(7, 2).with_options(EngineOptions::default().with_threads(8));
-        let mut handle = pool.submit(&threaded, SubmitOptions::default()).unwrap();
-        let outcome = handle.wait().unwrap();
-        assert_eq!(*outcome, Runner::with_threads(1).execute(&threaded));
-        let stats = outcome.round_stats.expect("fresh runs carry stats");
-        assert_eq!(stats.threads, 1, "no idle slots on a 1-worker pool");
-        pool.shutdown();
-
-        // With idle workers the job borrows them as step-threads (the
-        // claiming worker plus three borrowed slots) and the outcome is
-        // still identical.
+    fn explicit_step_threads_take_one_pool_slot_and_keep_outcomes() {
+        // With idle workers to spare, a spec asking for 8 step-threads
+        // still runs on the one worker that claimed it, and its outcome
+        // matches a `threads=1` run bit for bit.
         let pool = small_pool(4);
+        let plain = spec(7, 2).with_options(EngineOptions::default().with_threads(1));
+        let threaded = spec(7, 2).with_options(EngineOptions::default().with_threads(8));
+        assert_eq!(plain.canonical_key(), threaded.canonical_key());
         let mut handle = pool.submit(&threaded, SubmitOptions::default()).unwrap();
         let outcome = handle.wait().unwrap();
-        assert_eq!(*outcome, Runner::with_threads(1).execute(&threaded));
+        assert_eq!(*outcome, Runner::with_threads(1).execute(&plain));
         let stats = outcome.round_stats.expect("fresh runs carry stats");
-        assert_eq!(stats.threads, 4, "1 claimed + 3 borrowed of 4 workers");
+        assert_eq!(stats.threads, 1, "one pool slot, one step thread");
+        assert_eq!(stats.dense_rounds + stats.sparse_rounds, stats.rounds);
         pool.shutdown();
     }
 

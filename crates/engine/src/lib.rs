@@ -17,8 +17,9 @@
 //!   per word (one plane for one or two colours) straight from the
 //!   torus's wrap rule.  The generic lane steps over the
 //!   [`ctori_topology::Adjacency`] CSR kernel, which a torus simulator
-//!   builds only when a lane or caller reads it; per round, the loop
-//!   allocates only the band scheduler's small bookkeeping vectors;
+//!   builds only when a lane or caller reads it.  Either lane runs a
+//!   round as one pass on the calling thread, choosing a dense sweep or
+//!   the sparse worklist per round;
 //! * [`state`] — the [`state::StateVec`] backends behind the simulator
 //!   (generic colour vector vs. bit planes);
 //! * [`RunConfig`] / [`RunReport`] / [`Termination`] — run-to-convergence
@@ -29,11 +30,8 @@
 //! * [`metrics`] — per-round colour histograms and the step-timing /
 //!   lane-choice counters behind `round-stats:` reporting;
 //! * [`sweep`] — parallel parameter sweeps over many simulations using
-//!   `std::thread::scope` workers with lock-free result collection;
-//! * [`parallel`] — band-parallel stepping *inside* one round: the word
-//!   grid is split into tile-aligned row bands evaluated by scoped
-//!   workers, with a per-band dense/sparse hybrid crossover; results are
-//!   bit-identical to single-threaded stepping at every thread count.
+//!   `std::thread::scope` workers with lock-free result collection: the
+//!   engine's parallelism is across runs, never inside one round.
 //!
 //! # The declarative execution API
 //!
@@ -104,7 +102,6 @@ pub mod metrics;
 #[cfg(feature = "naive-baseline")]
 pub mod naive;
 pub mod observe;
-pub mod parallel;
 pub mod planes;
 pub mod runner;
 pub mod simulator;
@@ -120,7 +117,6 @@ pub use exec::{
 };
 pub use metrics::{round_histogram, ColorHistogram, RoundStats, StepStats};
 pub use observe::{HistogramObserver, NullObserver, Observer, StepView, TraceObserver};
-pub use parallel::{band_ranges, run_bands};
 pub use planes::PlaneLane;
 pub use runner::{OutcomeParseError, RunOutcome, Runner};
 pub use simulator::{RunConfig, RunReport, Simulator, StepReport, Termination};

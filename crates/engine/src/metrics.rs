@@ -14,28 +14,30 @@ use ctori_protocols::LocalRule;
 
 /// Cumulative step-profiling counters, maintained by the simulator.
 ///
-/// Every [`crate::Simulator::step`] adds one round and the band-level
-/// decisions its lane made: how many row bands ran the full dense sweep,
-/// how many walked the sparse worklist, and how many vertex evaluations
-/// those choices cost.
+/// Every [`crate::Simulator::step`] adds one round and the decision its
+/// lane made: whether the round ran the full dense sweep or walked the
+/// sparse worklist, and how many vertex evaluations that cost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StepStats {
     /// Rounds executed.
     pub rounds: u64,
-    /// Bands that ran the full (dense, tiled) sweep.
-    pub dense_bands: u64,
-    /// Bands that walked the sparse worklist path.
-    pub sparse_bands: u64,
-    /// Vertices evaluated across all rounds and bands.
+    /// Rounds that ran the full (dense, tiled) sweep.
+    pub dense_rounds: u64,
+    /// Rounds that walked the sparse worklist path.
+    pub sparse_rounds: u64,
+    /// Vertices evaluated across all rounds.
     pub cells_evaluated: u64,
 }
 
 impl StepStats {
-    /// Folds one round's band profile into the totals.
-    pub fn record_round(&mut self, dense_bands: u32, sparse_bands: u32, cells_evaluated: u64) {
+    /// Folds one round's decision into the totals.
+    pub fn record_round(&mut self, dense: bool, cells_evaluated: u64) {
         self.rounds += 1;
-        self.dense_bands += u64::from(dense_bands);
-        self.sparse_bands += u64::from(sparse_bands);
+        if dense {
+            self.dense_rounds += 1;
+        } else {
+            self.sparse_rounds += 1;
+        }
         self.cells_evaluated += cells_evaluated;
     }
 }
@@ -44,20 +46,25 @@ impl StepStats {
 ///
 /// This is pure observability: it is excluded from
 /// [`crate::RunOutcome`] equality and from the spec's canonical key, and
-/// parsing tolerates its absence, because its values (thread count,
-/// wall-clock nanoseconds, band decisions) vary run to run while the
-/// simulation result does not.
+/// parsing tolerates its absence, because its values (wall-clock
+/// nanoseconds above all) vary run to run while the simulation result
+/// does not.
+///
+/// The text keys `dense-bands` and `sparse-bands` date from row-band
+/// stepping, when each band of a round counted; every round is one band
+/// now, so they count rounds, and outcome texts keep their shape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RoundStats {
     /// Rounds executed.
     pub rounds: u64,
-    /// Bands that ran the full (dense, tiled) sweep.
-    pub dense_bands: u64,
-    /// Bands that walked the sparse worklist path.
-    pub sparse_bands: u64,
-    /// Vertices evaluated across all rounds and bands.
+    /// Rounds that ran the full (dense, tiled) sweep (`dense-bands`).
+    pub dense_rounds: u64,
+    /// Rounds that walked the sparse worklist path (`sparse-bands`).
+    pub sparse_rounds: u64,
+    /// Vertices evaluated across all rounds.
     pub cells_evaluated: u64,
-    /// Step-parallelism the run executed with.
+    /// Threads a round stepped on: 1 for every run of this engine; an
+    /// outcome text recorded by an older engine keeps its value.
     pub threads: u64,
     /// Wall-clock nanoseconds spent inside the run.
     pub nanos: u64,
@@ -76,42 +83,46 @@ impl RoundStats {
         format!(
             "rounds={} dense-bands={} sparse-bands={} cells={} threads={} nanos={}",
             self.rounds,
-            self.dense_bands,
-            self.sparse_bands,
+            self.dense_rounds,
+            self.sparse_rounds,
             self.cells_evaluated,
             self.threads,
             self.nanos
         )
     }
 
-    /// Parses a [`RoundStats::render`] value; `None` on any malformed or
-    /// missing field.
+    /// Parses a [`RoundStats::render`] value; `None` on any malformed,
+    /// missing or repeated field.
     pub fn parse(text: &str) -> Option<RoundStats> {
         let mut stats = RoundStats {
             rounds: 0,
-            dense_bands: 0,
-            sparse_bands: 0,
+            dense_rounds: 0,
+            sparse_rounds: 0,
             cells_evaluated: 0,
             threads: 0,
             nanos: 0,
         };
-        let mut seen = 0u32;
+        // One bit per key, set when the key is read.
+        let mut seen = 0u8;
         for token in text.split_whitespace() {
             let (key, value) = token.split_once('=')?;
             let value: u64 = value.parse().ok()?;
-            let slot = match key {
-                "rounds" => &mut stats.rounds,
-                "dense-bands" => &mut stats.dense_bands,
-                "sparse-bands" => &mut stats.sparse_bands,
-                "cells" => &mut stats.cells_evaluated,
-                "threads" => &mut stats.threads,
-                "nanos" => &mut stats.nanos,
+            let (bit, slot) = match key {
+                "rounds" => (0, &mut stats.rounds),
+                "dense-bands" => (1, &mut stats.dense_rounds),
+                "sparse-bands" => (2, &mut stats.sparse_rounds),
+                "cells" => (3, &mut stats.cells_evaluated),
+                "threads" => (4, &mut stats.threads),
+                "nanos" => (5, &mut stats.nanos),
                 _ => return None,
             };
+            if seen & (1 << bit) != 0 {
+                return None;
+            }
+            seen |= 1 << bit;
             *slot = value;
-            seen += 1;
         }
-        (seen == 6).then_some(stats)
+        (seen == 0b11_1111).then_some(stats)
     }
 }
 
@@ -190,8 +201,8 @@ mod tests {
     fn round_stats_render_round_trips() {
         let stats = RoundStats {
             rounds: 41,
-            dense_bands: 30,
-            sparse_bands: 52,
+            dense_rounds: 30,
+            sparse_rounds: 11,
             cells_evaluated: 1 << 33,
             threads: 8,
             nanos: 2_500_000_000,
@@ -202,6 +213,11 @@ mod tests {
         assert!(RoundStats::parse("rounds=1").is_none(), "missing fields");
         assert!(RoundStats::parse("bogus").is_none());
         assert!(RoundStats::parse(&format!("{} extra=1", stats.render())).is_none());
+        assert!(
+            RoundStats::parse("rounds=1 rounds=1 sparse-bands=0 cells=0 threads=1 nanos=0")
+                .is_none(),
+            "a repeated key does not stand in for a missing one"
+        );
         let zero = RoundStats { nanos: 0, ..stats };
         assert_eq!(zero.gcells_per_sec(), None);
     }
@@ -209,15 +225,16 @@ mod tests {
     #[test]
     fn step_stats_accumulate() {
         let mut stats = StepStats::default();
-        stats.record_round(4, 0, 1_000_000);
-        stats.record_round(1, 3, 250_000);
+        stats.record_round(true, 1_000_000);
+        stats.record_round(false, 250_000);
+        stats.record_round(true, 1_000_000);
         assert_eq!(
             stats,
             StepStats {
-                rounds: 2,
-                dense_bands: 5,
-                sparse_bands: 3,
-                cells_evaluated: 1_250_000,
+                rounds: 3,
+                dense_rounds: 2,
+                sparse_rounds: 1,
+                cells_evaluated: 2_250_000,
             }
         );
     }

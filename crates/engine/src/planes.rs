@@ -48,8 +48,8 @@
 //! always-full reference and slow words all write every word they
 //! evaluate, and the back buffer starts as a copy of the front.
 //!
-//! A round records nothing else per word but what changed: each band
-//! keeps `(word, changed lanes)` pairs, and [`PlaneLane::flips`] derives
+//! A round records nothing else per word but what changed: it keeps
+//! `(word, changed lanes)` pairs, and [`PlaneLane::flips`] derives
 //! `(vertex, old, new)` from them, reading old codes from the back planes
 //! and new ones from the front.  The flip count, the per-plane bit counts
 //! and the cycle hash are updated in the pass that evaluates the word,
@@ -66,14 +66,13 @@
 //! round's candidates, and a word is re-evaluated when any of its 64
 //! vertices or their neighbours changed last round (dirty propagation is
 //! word-level too, through a per-word neighbour-word table built at
-//! construction — no per-flip neighbour walks).  Each band counts its
+//! construction — no per-flip neighbour walks).  A round counts its
 //! candidates off the bitmap and runs the full tiled sweep once they
-//! cover 5/8 of its words, else it walks the set bits in ascending word
-//! order.  A band whose changed words alone already reach that share
-//! makes no marks: its candidates always include its changed words, so it
-//! runs dense next round anyway, and its whole range is marked at once
-//! (with several bands, its changed words still mark their neighbours in
-//! other bands, so every other band's candidates stay exact).
+//! cover 5/8 of the words, else it walks the set bits in ascending word
+//! order.  When the changed words alone already reach that share, the
+//! round makes no marks: the candidates always include the changed
+//! words, so the next round runs dense anyway, and every word is marked
+//! at once.
 //!
 //! Words are classified once at construction, from the torus's own wrap
 //! rule ([`ctori_topology::Torus`]); no CSR is built:
@@ -168,12 +167,11 @@
 //! off until the simulator's run loop switches it on with cycle detection,
 //! so a raw [`PlaneLane::step`] pays nothing for it.  Once on, the sweep
 //! swaps the old term of each plane word a changed word rewrites for the
-//! new one (two mixes) and folds the difference into its band's sum, so
-//! hashing runs in the band workers while both values are at hand.  A
+//! new one (two mixes) and folds the difference into the round's sum
+//! while both values are at hand.  A
 //! hash match is only a candidate: the simulator confirms every repeat by
 //! replay before reporting a cycle.
 
-use crate::parallel::{band_ranges, run_bands};
 use ctori_coloring::Color;
 use ctori_protocols::{ColorCountForm, ColorCountRule};
 use ctori_topology::{Adjacency, NodeId, Topology, Torus, TorusKind};
@@ -220,7 +218,7 @@ enum WordClass {
 /// The compiled rule as a word update.  The step is monomorphised over
 /// it (and over the plane count), so the per-word loop holds no
 /// [`Decision`] match.
-trait WordRule: Sync {
+trait WordRule {
     /// The word's new value in every plane, from the gathered N/S/W/E
     /// neighbour words `nb` and its own value `own`.
     fn next<const PC: usize>(&self, nb: &[[u64; PC]; 4], own: &[u64; PC]) -> [u64; PC];
@@ -295,26 +293,21 @@ impl WordRule for Inert {
     }
 }
 
-/// A band's account of one round: its dense/sparse choice and the words
-/// it evaluated, and what its changed words moved, kept by the sweep
-/// while each word's old and new values are still in registers.  Folded
-/// into the lane after the bands join.
+/// A round's account of what its changed words moved, kept by the sweep
+/// while each word's old and new values are still in registers and
+/// folded into the lane after it.
 #[derive(Clone, Copy, Debug, Default)]
-struct BandSum {
-    /// Whether the band ran the full tiled sweep.
-    dense: bool,
-    /// Words evaluated.
-    words: usize,
-    /// Vertices changed in this band.
+struct RoundSum {
+    /// Vertices changed.
     flips: usize,
     /// Signed movement of each plane's set-bit count.
     ones: [i64; MAX_PLANES],
-    /// XOR of the band's cycle-hash term changes (0 while the hash is
+    /// XOR of the round's cycle-hash term changes (0 while the hash is
     /// off).
     hash: u64,
 }
 
-impl BandSum {
+impl RoundSum {
     /// Accounts word `w`, whose lanes `changed` go from `own` to `new`;
     /// `hashing` swaps the cycle-hash terms of its rewritten plane words.
     #[inline(always)]
@@ -345,10 +338,9 @@ impl BandSum {
     }
 }
 
-/// One band's share of a round's output: its word range of every back
-/// plane, and the words it changed with their changed lanes.
-struct BandOut<'a, const PC: usize> {
-    start: usize,
+/// A round's output: every back plane, and the words it changed with
+/// their changed lanes.
+struct RoundOut<'a, const PC: usize> {
     back: [&'a mut [u64]; PC],
     changed: &'a mut Vec<(u32, u64)>,
 }
@@ -386,16 +378,6 @@ fn gather(plane: &[u64], base: usize) -> u64 {
     } else {
         (plane[q] >> r) | (plane[q + 1] << (64 - r))
     }
-}
-
-/// The words of a bitmap covering bits `start..end`, each with the mask
-/// of its bits in that range.
-fn bit_span(start: usize, end: usize) -> impl Iterator<Item = (usize, u64)> {
-    (start >> 6..end.div_ceil(64)).map(move |i| {
-        let lo = start.max(i * 64) - i * 64;
-        let hi = end.min(i * 64 + 64) - i * 64;
-        (i, (u64::MAX >> (64 - (hi - lo))) << lo)
-    })
 }
 
 /// `SPREAD[x]` holds bit `i` of the byte `x` in bit 0 of its byte `i`:
@@ -795,20 +777,11 @@ pub struct PlaneLane {
     /// Pins every round to a full sweep: no marks are made, and the
     /// bitmap stays full.
     always_full: bool,
-    /// The words each band changed in the last step, with their changed
-    /// lanes (band order is the sequential order).
-    band_changed: Vec<Vec<(u32, u64)>>,
-    /// Requested step-parallelism (row-band workers per round).
-    threads: usize,
-    /// The thread count `band_plan` was computed for; `0` forces a
-    /// replan on the next step.
-    planned_threads: usize,
-    /// Contiguous word ranges, one per band, tile-row aligned.
-    band_plan: Vec<(usize, usize)>,
-    /// Bands that ran the full tiled sweep last step.
-    last_dense_bands: u32,
-    /// Bands that ran the worklist path last step.
-    last_sparse_bands: u32,
+    /// The words the last step changed, in the order it visited them,
+    /// with their changed lanes.
+    changed: Vec<(u32, u64)>,
+    /// Whether the last step ran the full tiled sweep.
+    last_dense: bool,
     /// Vertices examined last step (64 per evaluated word).
     last_cells_evaluated: u64,
     /// Number of vertices changed by the last step.
@@ -937,7 +910,7 @@ impl PlaneLane {
             None
         };
         let mut dirty = vec![0u64; words.div_ceil(64)];
-        mark_span(&mut dirty, 0, words);
+        mark_all(&mut dirty, words);
 
         Some(PlaneLane {
             back: front.clone(),
@@ -957,12 +930,8 @@ impl PlaneLane {
             locked_code,
             dirty,
             always_full: false,
-            band_changed: Vec::new(),
-            threads: 1,
-            planned_threads: 0,
-            band_plan: Vec::new(),
-            last_dense_bands: 0,
-            last_sparse_bands: 0,
+            changed: Vec::new(),
+            last_dense: false,
             last_cells_evaluated: 0,
             flipped: 0,
             hash: None,
@@ -1137,30 +1106,27 @@ impl PlaneLane {
     }
 
     /// The `(vertex, old colour, new colour)` changes of the last
-    /// [`PlaneLane::step`] call, derived lazily from the bands' changed
-    /// words: old codes from the back planes (the previous round) and new
-    /// ones from the front.  Valid until the next step.
+    /// [`PlaneLane::step`] call, derived lazily from its changed words:
+    /// old codes from the back planes (the previous round) and new ones
+    /// from the front.  Valid until the next step.
     pub fn flips(&self) -> impl Iterator<Item = (u32, Color, Color)> + '_ {
-        self.band_changed
-            .iter()
-            .flatten()
-            .flat_map(move |&(w, changed)| {
-                let w = w as usize;
-                let mut mask = changed;
-                std::iter::from_fn(move || {
-                    if mask == 0 {
-                        return None;
-                    }
-                    let bit = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    let (mut old, mut new) = (0usize, 0usize);
-                    for (p, (before, after)) in self.back.iter().zip(&self.front).enumerate() {
-                        old |= (((before[w] >> bit) & 1) as usize) << p;
-                        new |= (((after[w] >> bit) & 1) as usize) << p;
-                    }
-                    Some(((w * 64 + bit) as u32, self.palette[old], self.palette[new]))
-                })
+        self.changed.iter().flat_map(move |&(w, changed)| {
+            let w = w as usize;
+            let mut mask = changed;
+            std::iter::from_fn(move || {
+                if mask == 0 {
+                    return None;
+                }
+                let bit = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let (mut old, mut new) = (0usize, 0usize);
+                for (p, (before, after)) in self.back.iter().zip(&self.front).enumerate() {
+                    old |= (((before[w] >> bit) & 1) as usize) << p;
+                    new |= (((after[w] >> bit) & 1) as usize) << p;
+                }
+                Some(((w * 64 + bit) as u32, self.palette[old], self.palette[new]))
             })
+        })
     }
 
     /// Number of vertices changed by the last [`PlaneLane::step`] call.
@@ -1172,46 +1138,13 @@ impl PlaneLane {
     /// equivalence tests and the frontier benchmarks).
     pub fn set_always_full(&mut self) {
         self.always_full = true;
-        mark_span(&mut self.dirty, 0, self.words);
+        mark_all(&mut self.dirty, self.words);
     }
 
-    /// Sets the number of row-band workers [`PlaneLane::step`] uses.
-    ///
-    /// Values are clamped to at least 1; the number of bands actually
-    /// spawned is further bounded by how many tile-row-aligned bands the
-    /// grid supports.  Results are bit-identical for every thread count
-    /// (evaluation reads only the front planes and each band writes only
-    /// its own word range of the back planes), so this is a pure
-    /// throughput knob.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// `(dense bands, sparse bands, cells evaluated)` of the last step —
-    /// the hybrid crossover's per-round decision record.
-    pub(crate) fn last_step_profile(&self) -> (u32, u32, u64) {
-        (
-            self.last_dense_bands,
-            self.last_sparse_bands,
-            self.last_cells_evaluated,
-        )
-    }
-
-    /// Recomputes the band partition when the thread count changed.
-    fn ensure_plan(&mut self) {
-        if self.planned_threads == self.threads {
-            return;
-        }
-        // Align band starts to whole tile rows so each band's full sweep
-        // keeps the cache-tiled traversal intact.
-        let align = match self.tile_geometry {
-            Some((_, words_per_row)) => words_per_row * TILE_ROWS,
-            None => 1,
-        };
-        self.band_plan = band_ranges(self.words, self.threads, align);
-        self.band_changed
-            .resize_with(self.band_plan.len(), Vec::new);
-        self.planned_threads = self.threads;
+    /// `(dense, cells evaluated)` of the last step — the hybrid
+    /// crossover's per-round decision record.
+    pub(crate) fn last_step_profile(&self) -> (bool, u64) {
+        (self.last_dense, self.last_cells_evaluated)
     }
 
     /// The current code of vertex `v` (its colour's palette position).
@@ -1341,16 +1274,15 @@ impl PlaneLane {
     }
 
     /// Evaluates word `w` against the front planes, writes its new value
-    /// into the band's back planes, and records and accounts it if it
-    /// changed.
+    /// into the back planes, and records and accounts it if it changed.
     #[inline(always)]
     fn visit<const PC: usize, R: WordRule>(
         &self,
         front: &[&[u64]; PC],
         rule: &R,
         w: usize,
-        out: &mut BandOut<'_, PC>,
-        sum: &mut BandSum,
+        out: &mut RoundOut<'_, PC>,
+        sum: &mut RoundSum,
     ) {
         let own: [u64; PC] = std::array::from_fn(|p| front[p][w]);
         let new = match self.class[w] {
@@ -1361,10 +1293,9 @@ impl PlaneLane {
             }
             WordClass::Slow => self.eval_slow(&own, w),
         };
-        let local = w - out.start;
         let mut changed = 0u64;
         for ((plane, &after), &before) in out.back.iter_mut().zip(&new).zip(&own) {
-            plane[local] = after;
+            plane[w] = after;
             changed |= after ^ before;
         }
         if changed != 0 {
@@ -1373,28 +1304,20 @@ impl PlaneLane {
         }
     }
 
-    /// The full tiled sweep over one band's word range.
-    ///
-    /// Tiling applies when the range covers whole torus rows (band
-    /// alignment guarantees it on tiled grids); otherwise the range
-    /// streams in linear word order.
+    /// The full sweep over every word, in cache tiles when the torus rows
+    /// are word-aligned and in linear word order otherwise.
     fn sweep_dense<const PC: usize, R: WordRule>(
         &self,
         front: &[&[u64]; PC],
         rule: &R,
-        (start_w, end_w): (usize, usize),
-        out: &mut BandOut<'_, PC>,
-        sum: &mut BandSum,
+        out: &mut RoundOut<'_, PC>,
+        sum: &mut RoundSum,
     ) {
         match self.tile_geometry {
-            Some((_, words_per_row))
-                if start_w.is_multiple_of(words_per_row) && end_w.is_multiple_of(words_per_row) =>
-            {
-                let row0 = start_w / words_per_row;
-                let row1 = end_w / words_per_row;
-                for tile_row in (row0..row1).step_by(TILE_ROWS) {
+            Some((rows, words_per_row)) => {
+                for tile_row in (0..rows).step_by(TILE_ROWS) {
                     for tile_col in (0..words_per_row).step_by(TILE_WORD_COLS) {
-                        for r in tile_row..(tile_row + TILE_ROWS).min(row1) {
+                        for r in tile_row..(tile_row + TILE_ROWS).min(rows) {
                             for wc in tile_col..(tile_col + TILE_WORD_COLS).min(words_per_row) {
                                 self.visit(front, rule, r * words_per_row + wc, out, sum);
                             }
@@ -1402,26 +1325,25 @@ impl PlaneLane {
                     }
                 }
             }
-            _ => {
-                for w in start_w..end_w {
+            None => {
+                for w in 0..self.words {
                     self.visit(front, rule, w, out, sum);
                 }
             }
         }
     }
 
-    /// The worklist path: one band's candidate words, read off the dirty
-    /// bitmap in ascending order.
+    /// The worklist path: the candidate words, read off the dirty bitmap
+    /// in ascending order.
     fn sweep_sparse<const PC: usize, R: WordRule>(
         &self,
         front: &[&[u64]; PC],
         rule: &R,
-        (start_w, end_w): (usize, usize),
-        out: &mut BandOut<'_, PC>,
-        sum: &mut BandSum,
+        out: &mut RoundOut<'_, PC>,
+        sum: &mut RoundSum,
     ) {
-        for (i, mask) in bit_span(start_w, end_w) {
-            let mut bits = self.dirty[i] & mask;
+        for (i, &marked) in self.dirty.iter().enumerate() {
+            let mut bits = marked;
             while bits != 0 {
                 let w = i * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
@@ -1435,15 +1357,13 @@ impl PlaneLane {
     ///
     /// The first round after construction evaluates every word; later
     /// rounds evaluate only the dirty words (words holding last round's
-    /// flips or their neighbours).  Evaluation is partitioned into
-    /// tile-aligned row bands (one worker each, see [`crate::parallel`])
-    /// and each band independently chooses dense or sparse execution: a
-    /// band whose candidates cover ≳62.5 % of its words re-runs the full
-    /// tiled sweep instead of chasing the worklist, which is exact because
-    /// a word absent from the worklist cannot change (its evaluation is a
-    /// no-op), so the dense superset yields the identical change set.
-    /// Changes are available through [`PlaneLane::flips`] until the next
-    /// step.
+    /// flips or their neighbours).  Each round chooses dense or sparse
+    /// execution: once the candidates cover ≳62.5 % of the words it
+    /// re-runs the full tiled sweep instead of chasing the worklist, which
+    /// is exact because a word absent from the worklist cannot change (its
+    /// evaluation is a no-op), so the dense superset yields the identical
+    /// change set.  Changes are available through [`PlaneLane::flips`]
+    /// until the next step.
     pub fn step(&mut self) -> usize {
         match self.plane_count {
             1 => self.step_planes::<1>(),
@@ -1476,84 +1396,57 @@ impl PlaneLane {
         }
     }
 
-    /// One round at `PC` planes under `rule`: the bands sweep against the
-    /// front planes into the back planes, then the sets swap and next
-    /// round's candidates are marked.
+    /// One round at `PC` planes under `rule`: the scheduled words are
+    /// evaluated against the front planes into the back planes, then the
+    /// sets swap and next round's candidates are marked.
     fn round<const PC: usize, R: WordRule>(&mut self, rule: R) -> usize {
-        self.ensure_plan();
-        // Each band writes only its own word range of every back plane.
+        // The hybrid dense/sparse crossover: the worklist path costs
+        // roughly a per-candidate dispatch that the tiled sweep amortises
+        // away, so once the candidates pass ~5/8 of the words the full
+        // sweep is cheaper (calibrated on the BENCH_6 scatter workloads,
+        // where near-full buckets made sparse k=8 rounds pay the 3-plane
+        // gather tax word by word).
+        let candidates: usize = self
+            .dirty
+            .iter()
+            .map(|bits| bits.count_ones() as usize)
+            .sum();
+        let dense = candidates * 8 >= self.words * 5;
         let mut back = std::mem::take(&mut self.back);
-        let mut band_changed = std::mem::take(&mut self.band_changed);
-        let sums = {
+        let mut changed = std::mem::take(&mut self.changed);
+        changed.clear();
+        let mut sum = RoundSum::default();
+        {
             let mut planes = back.iter_mut();
-            let mut rest: [&mut [u64]; PC] =
-                std::array::from_fn(|_| planes.next().expect("a back plane").as_mut_slice());
-            let mut outs = Vec::with_capacity(self.band_plan.len());
-            for (&(start, end), changed) in self.band_plan.iter().zip(&mut band_changed) {
-                changed.clear();
-                let back = std::array::from_fn(|p| {
-                    let (band, tail) = std::mem::take(&mut rest[p]).split_at_mut(end - start);
-                    rest[p] = tail;
-                    band
-                });
-                outs.push(BandOut {
-                    start,
-                    back,
-                    changed,
-                });
+            let mut out = RoundOut {
+                back: std::array::from_fn(|_| planes.next().expect("a back plane").as_mut_slice()),
+                changed: &mut changed,
+            };
+            let front: [&[u64]; PC] = std::array::from_fn(|p| self.front[p].as_slice());
+            if dense {
+                self.sweep_dense(&front, &rule, &mut out, &mut sum);
+            } else {
+                self.sweep_sparse(&front, &rule, &mut out, &mut sum);
             }
-            let lane = &*self;
-            let front: [&[u64]; PC] = std::array::from_fn(|p| lane.front[p].as_slice());
-            run_bands(&lane.band_plan, &mut outs, |_, start, end, out| {
-                // The hybrid dense/sparse crossover, per band: the
-                // worklist path costs roughly a per-candidate dispatch
-                // that the tiled sweep amortises away, so once a band's
-                // candidates pass ~5/8 of its words the full sweep is
-                // cheaper (calibrated on the BENCH_6 scatter workloads,
-                // where near-full buckets made sparse k=8 rounds pay the
-                // 3-plane gather tax word by word).
-                let candidates: usize = bit_span(start, end)
-                    .map(|(i, mask)| (lane.dirty[i] & mask).count_ones() as usize)
-                    .sum();
-                let mut sum = BandSum::default();
-                if candidates * 8 >= (end - start) * 5 {
-                    sum.dense = true;
-                    sum.words = end - start;
-                    lane.sweep_dense(&front, &rule, (start, end), out, &mut sum);
-                } else {
-                    sum.words = candidates;
-                    lane.sweep_sparse(&front, &rule, (start, end), out, &mut sum);
-                }
-                sum
-            })
-        };
+        }
         self.back = back;
         std::mem::swap(&mut self.front, &mut self.back);
 
-        self.flipped = 0;
-        (self.last_dense_bands, self.last_sparse_bands) = (0, 0);
-        let mut words_evaluated = 0;
-        for sum in &sums {
-            self.flipped += sum.flips;
-            for (n, &moved) in self.ones.iter_mut().zip(&sum.ones) {
-                *n = (*n as i64 + moved) as usize;
-            }
-            if let Some(hash) = &mut self.hash {
-                *hash ^= sum.hash;
-            }
-            if sum.dense {
-                self.last_dense_bands += 1;
-            } else {
-                self.last_sparse_bands += 1;
-            }
-            words_evaluated += sum.words as u64;
+        self.flipped = sum.flips;
+        for (n, &moved) in self.ones.iter_mut().zip(&sum.ones) {
+            *n = (*n as i64 + moved) as usize;
         }
-        self.last_cells_evaluated = words_evaluated * 64;
+        if let Some(hash) = &mut self.hash {
+            *hash ^= sum.hash;
+        }
+        let words_evaluated = if dense { self.words } else { candidates };
+        self.last_dense = dense;
+        self.last_cells_evaluated = words_evaluated as u64 * 64;
 
         if !self.always_full {
-            self.mark_next(&band_changed);
+            self.mark_next(&changed);
         }
-        self.band_changed = band_changed;
+        self.changed = changed;
         self.flipped
     }
 
@@ -1561,42 +1454,33 @@ impl PlaneLane {
     /// holding its vertices' neighbours (a safe superset of the per-flip
     /// marks, with no list walk).
     ///
-    /// A band whose changed words alone reach the dense crossover runs
-    /// dense next round whatever else is marked, so its whole range is
-    /// marked instead; its changed words then mark only their neighbours
-    /// in other bands, which keeps every other band's candidates exact.
-    fn mark_next(&mut self, band_changed: &[Vec<(u32, u64)>]) {
+    /// When the changed words alone reach the dense crossover, next round
+    /// runs dense whatever else is marked, so every word is marked at
+    /// once instead.
+    fn mark_next(&mut self, changed: &[(u32, u64)]) {
+        if changed.len() * 8 >= self.words * 5 {
+            mark_all(&mut self.dirty, self.words);
+            return;
+        }
         self.dirty.fill(0);
-        let several = self.band_plan.len() > 1;
-        for (&(start, end), changed) in self.band_plan.iter().zip(band_changed) {
-            let dense_next = changed.len() * 8 >= (end - start) * 5;
-            if dense_next {
-                mark_span(&mut self.dirty, start, end);
-                if !several {
-                    continue;
-                }
-            }
-            let band = start..end;
-            for &(w, _) in changed {
-                let w = w as usize;
-                let from = self.mark_offsets[w] as usize;
-                let to = self.mark_offsets[w + 1] as usize;
-                let words =
-                    std::iter::once(w as u32).chain(self.mark_words[from..to].iter().copied());
-                for u in words {
-                    if !(dense_next && band.contains(&(u as usize))) {
-                        self.dirty[u as usize >> 6] |= 1 << (u & 63);
-                    }
-                }
+        for &(w, _) in changed {
+            let w = w as usize;
+            let from = self.mark_offsets[w] as usize;
+            let to = self.mark_offsets[w + 1] as usize;
+            let words = std::iter::once(w as u32).chain(self.mark_words[from..to].iter().copied());
+            for u in words {
+                self.dirty[u as usize >> 6] |= 1 << (u & 63);
             }
         }
     }
 }
 
-/// Sets bits `start..end` of a word bitmap.
-fn mark_span(bitmap: &mut [u64], start: usize, end: usize) {
-    for (i, mask) in bit_span(start, end) {
-        bitmap[i] |= mask;
+/// Sets bits `0..n` of a word bitmap and clears the rest: every word a
+/// candidate.
+fn mark_all(bitmap: &mut [u64], n: usize) {
+    bitmap.fill(u64::MAX);
+    if let (Some(last), tail @ 1..) = (bitmap.last_mut(), n % 64) {
+        *last = u64::MAX >> (64 - tail);
     }
 }
 
@@ -1721,31 +1605,23 @@ mod tests {
             start[v] = c(3);
         }
         let rule = ColorCountRule::plurality(2);
-        for threads in [1, 2] {
-            let mut lane = PlaneLane::for_torus(&torus, &start, &rule).unwrap();
-            lane.set_threads(threads);
-            let mut colors = start.clone();
-            for round in 0..12 {
-                let context = format!("threads {threads}, round {round}");
-                if round == 8 {
-                    lane.set_always_full();
-                }
-                let expected = reference_round(&adjacency, &rule, &colors);
-                lane.step();
-                assert_eq!(lane.snapshot(), expected, "{context}");
-                let changed = reference_flips(&colors, &expected);
-                assert_eq!(sorted_flips(&lane), changed, "{context}");
-                if round >= 2 {
-                    assert_eq!(changed.len(), 2 * n, "{context}: only the strip flips");
-                }
-                let (dense, sparse, _) = lane.last_step_profile();
-                assert_eq!((dense + sparse) as usize, threads, "{context}: bands");
-                match round {
-                    0 | 8.. => assert_eq!(sparse, 0, "{context}: dense"),
-                    _ => assert_eq!(dense, 0, "{context}: sparse"),
-                }
-                colors = expected;
+        let mut lane = PlaneLane::for_torus(&torus, &start, &rule).unwrap();
+        let mut colors = start;
+        for round in 0..12 {
+            if round == 8 {
+                lane.set_always_full();
             }
+            let expected = reference_round(&adjacency, &rule, &colors);
+            lane.step();
+            assert_eq!(lane.snapshot(), expected, "round {round}");
+            let changed = reference_flips(&colors, &expected);
+            assert_eq!(sorted_flips(&lane), changed, "round {round}");
+            if round >= 2 {
+                assert_eq!(changed.len(), 2 * n, "round {round}: only the strip flips");
+            }
+            let (dense, _) = lane.last_step_profile();
+            assert_eq!(dense, matches!(round, 0 | 8..), "round {round}: dense");
+            colors = expected;
         }
     }
 
@@ -1957,9 +1833,9 @@ mod tests {
     fn census_and_histogram_stay_consistent() {
         // `monochromatic()` reads the plane counts kept by the steps;
         // `count_of` and `histogram()` count off the planes.  Every round
-        // all three must match the snapshot.  5×70 ends in a partial word
-        // and splits into two bands at two threads; the activation rule
-        // turns the torus monochromatic in its top colour in round 1.
+        // all three must match the snapshot.  5×70 ends in a partial word;
+        // the activation rule turns the torus monochromatic in its top
+        // colour in round 1.
         let absent = c(200);
         for (m, n) in [(8, 64), (5, 70)] {
             let torus = Torus::new(TorusKind::ToroidalMesh, m, n);
@@ -1969,37 +1845,33 @@ mod tests {
                     ColorCountRule::plurality(2),
                     ColorCountRule::activation(c(palette), 0),
                 ] {
-                    for threads in [1, 2] {
-                        let mut lane = PlaneLane::for_torus(&torus, &colors, &rule).unwrap();
-                        lane.set_threads(threads);
-                        let context =
-                            format!("{m}x{n}, palette {palette}, {rule:?}, threads {threads}");
-                        for round in 0..=8 {
-                            if round > 0 {
-                                lane.step();
-                            }
-                            let snapshot = lane.snapshot();
-                            let mono = snapshot
-                                .iter()
-                                .all(|&x| x == snapshot[0])
-                                .then_some(snapshot[0]);
-                            assert_eq!(lane.monochromatic(), mono, "{context}: round {round}");
-                            assert_eq!(lane.count_of(absent), 0, "{context}: round {round}");
-                            let mut expected = std::collections::BTreeMap::new();
-                            for &x in &snapshot {
-                                *expected.entry(x).or_insert(0usize) += 1;
-                            }
-                            let expected: Vec<(Color, usize)> = expected.into_iter().collect();
-                            for &color in lane.palette() {
-                                let n = expected.iter().find(|&&(x, _)| x == color);
-                                assert_eq!(
-                                    lane.count_of(color),
-                                    n.map_or(0, |&(_, n)| n),
-                                    "{context}: round {round}, colour {color:?}"
-                                );
-                            }
-                            assert_eq!(lane.histogram(), expected, "{context}: round {round}");
+                    let mut lane = PlaneLane::for_torus(&torus, &colors, &rule).unwrap();
+                    let context = format!("{m}x{n}, palette {palette}, {rule:?}");
+                    for round in 0..=8 {
+                        if round > 0 {
+                            lane.step();
                         }
+                        let snapshot = lane.snapshot();
+                        let mono = snapshot
+                            .iter()
+                            .all(|&x| x == snapshot[0])
+                            .then_some(snapshot[0]);
+                        assert_eq!(lane.monochromatic(), mono, "{context}: round {round}");
+                        assert_eq!(lane.count_of(absent), 0, "{context}: round {round}");
+                        let mut expected = std::collections::BTreeMap::new();
+                        for &x in &snapshot {
+                            *expected.entry(x).or_insert(0usize) += 1;
+                        }
+                        let expected: Vec<(Color, usize)> = expected.into_iter().collect();
+                        for &color in lane.palette() {
+                            let n = expected.iter().find(|&&(x, _)| x == color);
+                            assert_eq!(
+                                lane.count_of(color),
+                                n.map_or(0, |&(_, n)| n),
+                                "{context}: round {round}, colour {color:?}"
+                            );
+                        }
+                        assert_eq!(lane.histogram(), expected, "{context}: round {round}");
                     }
                 }
             }
@@ -2027,82 +1899,6 @@ mod tests {
     }
 
     #[test]
-    fn band_parallel_stepping_is_bit_identical() {
-        // 128 columns → 2 words per row, 12 rows: with threads=3 the
-        // tile-row alignment still splits the grid, and the frontier
-        // worklist shrinks over time so later rounds cross the hybrid
-        // dense→sparse threshold per band.
-        for kind in TorusKind::ALL {
-            let torus = Torus::new(kind, 12, 128);
-            let colors = scatter_colors(12 * 128, 5, 0xBAD5EED);
-            let rule = ColorCountRule::plurality(2);
-            let mut seq = PlaneLane::for_torus(&torus, &colors, &rule).unwrap();
-            let mut par = PlaneLane::for_torus(&torus, &colors, &rule).unwrap();
-            par.set_threads(3);
-            for round in 0..16 {
-                let a = seq.step();
-                let b = par.step();
-                assert_eq!(a, b, "{kind:?}: flip counts diverge at round {round}");
-                assert_eq!(
-                    seq.snapshot(),
-                    par.snapshot(),
-                    "{kind:?}: states diverge at round {round}"
-                );
-                let mut sf: Vec<_> = seq.flips().collect();
-                let mut pf: Vec<_> = par.flips().collect();
-                sf.sort_unstable();
-                pf.sort_unstable();
-                assert_eq!(sf, pf, "{kind:?}: flip sets diverge at round {round}");
-                assert_eq!(seq.histogram(), par.histogram());
-            }
-        }
-    }
-
-    #[test]
-    fn a_band_that_skips_its_marks_still_marks_the_next_band() {
-        // Two bands on a 32×128 mesh: rows 0–15 and 16–31.  Under
-        // threshold-2 activation of colour 2, band 0's checkerboard fills
-        // in round 1, so every band-0 word changes and band 0 skips its
-        // marks.  Row 16 then sees colour 2 above (16, 40), which already
-        // has it below: that vertex changes in round 2 although nothing in
-        // band 1 changed in round 1, so only band 0's cross-band marks make
-        // its word a candidate; from there it spreads along row 16.
-        let (m, n) = (32, 128);
-        let torus = Torus::new(TorusKind::ToroidalMesh, m, n);
-        let adjacency = Adjacency::from_torus(&torus);
-        let mut start = vec![c(1); m * n];
-        for r in 0..16 {
-            for col in (r % 2..n).step_by(2) {
-                start[r * n + col] = c(2);
-            }
-        }
-        start[17 * n + 40] = c(2);
-        let rule = ColorCountRule::activation(c(2), 2);
-        for threads in [1, 2] {
-            let mut lane = PlaneLane::for_torus(&torus, &start, &rule).unwrap();
-            lane.set_threads(threads);
-            let mut colors = start.clone();
-            for round in 0..10 {
-                let context = format!("threads {threads}, round {round}");
-                let expected = reference_round(&adjacency, &rule, &colors);
-                lane.step();
-                assert_eq!(lane.snapshot(), expected, "{context}");
-                assert_eq!(
-                    sorted_flips(&lane),
-                    reference_flips(&colors, &expected),
-                    "{context}"
-                );
-                if threads == 2 && round == 1 {
-                    let (dense, sparse, _) = lane.last_step_profile();
-                    assert_eq!((dense, sparse), (1, 1), "{context}");
-                    assert_eq!(expected[16 * n + 40], c(2), "{context}");
-                }
-                colors = expected;
-            }
-        }
-    }
-
-    #[test]
     fn hybrid_dense_rounds_match_the_sparse_path() {
         // A quiescing pattern: one active block in a monochrome sea.  The
         // first frontier rounds are near-full (dense crossover fires),
@@ -2116,7 +1912,6 @@ mod tests {
         }
         let rule = ColorCountRule::plurality(2);
         let mut hybrid = PlaneLane::for_torus(&torus, &colors, &rule).unwrap();
-        hybrid.set_threads(2);
         let mut full = PlaneLane::for_torus(&torus, &colors, &rule).unwrap();
         full.set_always_full();
         let mut saw_dense = false;
@@ -2126,11 +1921,10 @@ mod tests {
             let b = full.step();
             assert_eq!(a, b, "flip counts diverge at round {round}");
             assert_eq!(hybrid.snapshot(), full.snapshot());
-            let (dense, sparse, cells) = hybrid.last_step_profile();
-            assert_eq!((dense + sparse) as usize, hybrid.band_plan.len());
+            let (dense, cells) = hybrid.last_step_profile();
             assert!(cells <= (hybrid.words as u64) * 64);
-            saw_dense |= dense > 0;
-            saw_sparse |= sparse > 0;
+            saw_dense |= dense;
+            saw_sparse |= !dense;
         }
         assert!(saw_dense, "the dense crossover never fired");
         assert!(saw_sparse, "the sparse path never ran");
@@ -2433,25 +2227,21 @@ mod tests {
     #[test]
     fn plane_hash_tracks_the_configuration() {
         // The incremental hash equals a hash rebuilt afresh after
-        // every round, at one and three band workers, and it is a
-        // function of the configuration: a period-2 blinker returns to
-        // its first value.
+        // every round, and it is a function of the configuration: a
+        // period-2 blinker returns to its first value.
         let torus = Torus::new(TorusKind::ToroidalMesh, 12, 128);
         let colors = scatter_colors(12 * 128, 5, 77);
         let rule = ColorCountRule::plurality(2);
-        for threads in [1, 3] {
-            let mut lane = PlaneLane::for_torus(&torus, &colors, &rule).unwrap();
-            lane.set_threads(threads);
-            assert_eq!(lane.state_hash(), None, "off until switched on");
+        let mut lane = PlaneLane::for_torus(&torus, &colors, &rule).unwrap();
+        assert_eq!(lane.state_hash(), None, "off until switched on");
+        lane.step();
+        lane.enable_hash();
+        for round in 0..10 {
             lane.step();
-            lane.enable_hash();
-            for round in 0..10 {
-                lane.step();
-                let mut fresh = lane.clone();
-                fresh.hash = None;
-                fresh.enable_hash();
-                assert_eq!(lane.state_hash(), fresh.state_hash(), "round {round}");
-            }
+            let mut fresh = lane.clone();
+            fresh.hash = None;
+            fresh.enable_hash();
+            assert_eq!(lane.state_hash(), fresh.state_hash(), "round {round}");
         }
         let checkerboard: Vec<Color> = (0..12 * 128)
             .map(|v| c(1 + ((v / 128 + v % 128) % 2) as u16))

@@ -132,17 +132,17 @@ pub struct RunOutcome {
     pub used_packed_lane: bool,
     /// Whether the bit-plane lane drove the run.
     pub used_plane_lane: bool,
-    /// Timed step profile of the run (thread count, dense/sparse band
-    /// decisions, Gcell/s).  Pure observability: excluded from equality
+    /// Timed step profile of the run (dense/sparse decisions, cells
+    /// evaluated, wall clock).  Pure observability: excluded from equality
     /// and absent from outcomes produced by engines predating it.
     pub round_stats: Option<RoundStats>,
 }
 
 impl PartialEq for RunOutcome {
     /// Equality ignores [`RunOutcome::round_stats`]: the stats record
-    /// *how* a run executed (threads, wall-clock, band decisions), not
-    /// what it computed, so outcomes of the same spec compare equal
-    /// across thread counts, machines and cache hits.
+    /// *how* a run executed (wall clock, dense/sparse decisions), not what
+    /// it computed, so outcomes of the same spec compare equal across
+    /// machines, engine versions and cache hits.
     fn eq(&self, other: &Self) -> bool {
         self.rule == other.rule
             && self.termination == other.termination
@@ -418,7 +418,8 @@ impl Runner {
         }
     }
 
-    /// A runner with an explicit thread budget (`1` = fully sequential).
+    /// A runner with an explicit thread budget for [`Runner::sweep`]
+    /// (`1` = one run at a time).
     pub fn with_threads(threads: usize) -> Self {
         Runner {
             threads: threads.max(1),
@@ -456,8 +457,6 @@ impl Runner {
         let rule = spec.rule.resolve();
         let config = spec.options.run_config();
         let mut sim = build_simulator(spec, rule);
-        let step_threads = self.resolve_step_threads(spec);
-        sim.set_step_threads(step_threads);
         observer.on_start(&sim.view());
         // Deliberate timing code: the outcome reports total run time.
         #[allow(clippy::disallowed_methods)]
@@ -477,10 +476,10 @@ impl Runner {
             used_plane_lane: sim.uses_plane_lane(),
             round_stats: Some(RoundStats {
                 rounds: stats.rounds,
-                dense_bands: stats.dense_bands,
-                sparse_bands: stats.sparse_bands,
+                dense_rounds: stats.dense_rounds,
+                sparse_rounds: stats.sparse_rounds,
                 cells_evaluated: stats.cells_evaluated,
-                threads: step_threads as u64,
+                threads: 1,
                 nanos,
             }),
         };
@@ -488,56 +487,30 @@ impl Runner {
         outcome
     }
 
-    /// Resolves one scenario's intra-run step-parallelism.
-    ///
-    /// The runner's own thread budget is a **hard cap** — an executor
-    /// pool grants each job a budget via [`Runner::with_threads`], and a
-    /// spec cannot exceed it.  An explicit spec `threads=N` is clamped to
-    /// the budget.  `threads=auto` (`0`) steps on one thread at every
-    /// size, as the worker pool resolves it: a fresh pair of scoped band
-    /// workers per round lost to one thread on the 1024² and 2048²
-    /// benchmark grids (2-core VM), so bands stay opt-in until a measured
-    /// crossover says otherwise.  Step-parallelism never affects the
-    /// outcome, only the wall clock.
-    fn resolve_step_threads(&self, spec: &RunSpec) -> usize {
-        match spec.options.threads {
-            0 => 1,
-            explicit => explicit.min(self.threads),
-        }
-    }
-
     /// Executes a batch of scenarios in parallel, preserving input order.
     ///
     /// The specs fan out over the engine's work-stealing sweep pool
     /// ([`crate::sweep::parallel_map`]); each scenario runs independently
     /// on one worker, so a grid of small runs scales with the thread
-    /// budget.  Outer parallelism wins: each worker executes its run
-    /// **sequentially** (step-parallelism forced to 1, whatever the spec
-    /// says), because the batch already occupies the budget and nested
-    /// band workers would only oversubscribe the machine.  Accepts any
-    /// owned iterable (`Vec`, a `map` chain, …); callers holding a grid
-    /// they want to keep use [`Runner::sweep_refs`] and clone nothing.
+    /// budget.  Accepts any owned iterable (`Vec`, a `map` chain, …);
+    /// callers holding a grid they want to keep use
+    /// [`Runner::sweep_refs`] and clone nothing.
     pub fn sweep<I>(&self, specs: I) -> Vec<RunOutcome>
     where
         I: IntoIterator<Item = RunSpec>,
     {
-        let sequential = Runner::with_threads(1);
-        parallel_map(specs.into_iter().collect(), self.threads, move |spec| {
-            sequential.execute(spec)
+        parallel_map(specs.into_iter().collect(), self.threads, |spec| {
+            self.execute(spec)
         })
     }
 
     /// As [`Runner::sweep`], but borrows the grid — no spec is cloned or
     /// consumed, so a caller can sweep the same grid repeatedly (the
-    /// benchmark harness does exactly that).  Like [`Runner::sweep`],
-    /// each run executes sequentially: outer parallelism wins.
+    /// benchmark harness does exactly that).
     pub fn sweep_refs(&self, specs: &[RunSpec]) -> Vec<RunOutcome> {
-        let sequential = Runner::with_threads(1);
-        parallel_map(
-            specs.iter().collect(),
-            self.threads,
-            move |spec: &&RunSpec| sequential.execute(spec),
-        )
+        parallel_map(specs.iter().collect(), self.threads, |spec: &&RunSpec| {
+            self.execute(spec)
+        })
     }
 }
 
@@ -860,7 +833,7 @@ mod tests {
     }
 
     #[test]
-    fn step_threads_change_the_profile_not_the_outcome() {
+    fn step_threads_change_neither_the_profile_nor_the_outcome() {
         let spec = absorbing_spec();
         let mut threaded = spec.clone();
         threaded.options = threaded.options.with_threads(8);
@@ -872,18 +845,17 @@ mod tests {
         let seq = Runner::with_threads(1).execute(&spec);
         let par = Runner::with_threads(8).execute(&threaded);
         assert_eq!(par, seq, "outcome equality across thread counts");
-        assert_eq!(par.round_stats.unwrap().threads, 8);
-        assert_eq!(seq.round_stats.unwrap().threads, 1);
-        // A pool-granted budget of 1 caps even an explicit threads=8.
-        let capped = Runner::with_threads(1).execute(&threaded);
-        assert_eq!(capped.round_stats.unwrap().threads, 1);
-        assert_eq!(capped, seq);
+        for outcome in [&seq, &par] {
+            let stats = outcome.round_stats.unwrap();
+            assert_eq!(stats.threads, 1, "every round runs on the calling thread");
+            assert_eq!(stats.dense_rounds + stats.sparse_rounds, stats.rounds);
+        }
     }
 
     #[test]
     fn auto_threads_step_on_one_thread_at_every_size() {
-        // 2¹⁸ cells: large enough for four bands, so only the policy
-        // keeps `auto` on one thread.
+        // 2¹⁸ cells, with `auto` and with an explicit 4 on a 4-thread
+        // budget.
         let spec = RunSpec::new(
             TopologySpec::toroidal_mesh(512, 512),
             RuleSpec::from_rule(SmpProtocol),
@@ -901,9 +873,9 @@ mod tests {
         assert_eq!(auto.round_stats.unwrap().threads, 1);
         let mut explicit = spec.clone();
         explicit.options = explicit.options.with_threads(4);
-        let banded = runner.execute(&explicit);
-        assert_eq!(banded.round_stats.unwrap().threads, 4);
-        assert_eq!(auto, banded);
+        let explicit = runner.execute(&explicit);
+        assert_eq!(explicit.round_stats.unwrap().threads, 1);
+        assert_eq!(auto, explicit);
     }
 
     #[test]

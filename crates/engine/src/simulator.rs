@@ -7,12 +7,12 @@
 //! backend for arbitrary rules, palettes and graphs, and the bit-plane
 //! lane (see [`crate::planes`]), selected automatically when the rule
 //! advertises a [`ctori_protocols::ColorCountRule`] counting form and at
-//! most 16 colours are present on a 4-regular torus.
+//! most 16 colours are present on a 4-regular torus.  Either lane runs a
+//! round as one pass on the calling thread.
 
 use crate::frontier::Worklist;
 use crate::metrics::StepStats;
 use crate::observe::StepView;
-use crate::parallel::{band_ranges, run_bands};
 use crate::planes::{splitmix64, PlaneLane};
 use crate::state::{ColorCensus, StateVec};
 use ctori_coloring::{Color, Coloring};
@@ -223,9 +223,9 @@ impl Wiring {
 /// spreading frontier costs O(frontier) per round instead of O(|V|).
 /// Callers of [`Simulator::with_full_sweep`] get the exhaustive full sweep
 /// instead, the reference the equivalence tests and benchmarks compare
-/// against.  The hot loops are pure slice and bit indexing; the only
-/// per-round allocations are the small per-band bookkeeping vectors of the
-/// band scheduler ([`crate::parallel::run_bands`]).
+/// against.  The hot loops are pure slice and bit indexing.  A round runs
+/// on the calling thread and reuses its change list, so only a graph that
+/// is not 4-regular allocates per round (a neighbour scratch buffer).
 ///
 /// Cycle detection in [`Simulator::run`] rests on an incremental state
 /// hash that each lane owns: the generic lane XORs a per-vertex key per
@@ -250,14 +250,11 @@ pub struct Simulator<R> {
     /// own hash.
     generic_hash: Option<u64>,
     degenerate_hash: bool,
-    /// Intra-round band parallelism (see [`crate::parallel`]); forwarded
-    /// to whichever lane is active.
-    step_threads: usize,
-    /// The generic lane's per-band `(vertex, old, new)` change buffers,
-    /// reused across rounds; their band-order concatenation is the last
-    /// round's change list.
-    band_changes: Vec<Vec<(u32, Color, Color)>>,
-    /// Cumulative per-round profile (rounds, band decisions, cells).
+    /// The generic lane's `(vertex, old, new)` changes of the last round,
+    /// reused across rounds.
+    changes: Vec<(u32, Color, Color)>,
+    /// Cumulative per-round profile (rounds, dense/sparse decisions,
+    /// cells).
     stats: StepStats,
 }
 
@@ -350,8 +347,7 @@ impl<R: LocalRule> Simulator<R> {
             full_sweep: false,
             generic_hash: None,
             degenerate_hash: false,
-            step_threads: 1,
-            band_changes: Vec::new(),
+            changes: Vec::new(),
             stats: StepStats::default(),
         }
     }
@@ -443,7 +439,6 @@ impl<R: LocalRule> Simulator<R> {
             if self.full_sweep {
                 lane.set_always_full();
             }
-            lane.set_threads(self.step_threads);
             self.worklist = Worklist::new(0);
             self.state = StateVec::Planes {
                 lane: Box::new(lane),
@@ -452,31 +447,14 @@ impl<R: LocalRule> Simulator<R> {
         self
     }
 
-    /// Sets the intra-round band parallelism: every step partitions its
-    /// work into up to `threads` row bands evaluated by scoped workers
-    /// (see [`crate::parallel`]).  Values are clamped to at least 1.
-    /// Results are bit-identical at every thread count, so this is a pure
-    /// throughput knob; it may be changed at any point, including
-    /// mid-run.
-    pub fn set_step_threads(&mut self, threads: usize) {
-        self.step_threads = threads.max(1);
-        if let StateVec::Planes { lane } = &mut self.state {
-            lane.set_threads(self.step_threads);
-        }
-    }
-
-    /// Builder form of [`Simulator::set_step_threads`].
-    pub fn with_step_threads(mut self, threads: usize) -> Self {
-        self.set_step_threads(threads);
+    /// Returns the simulator unchanged: every round runs on the calling
+    /// thread, whatever `threads` says.  Kept so that callers written
+    /// when rounds could be split into row bands still compile.
+    pub fn with_step_threads(self, _threads: usize) -> Self {
         self
     }
 
-    /// The configured intra-round band parallelism.
-    pub fn step_threads(&self) -> usize {
-        self.step_threads
-    }
-
-    /// The cumulative step profile: rounds executed, dense vs sparse band
+    /// The cumulative step profile: rounds executed, dense vs sparse
     /// decisions of the hybrid crossover, and vertices evaluated.
     pub fn step_stats(&self) -> StepStats {
         self.stats
@@ -551,7 +529,7 @@ impl<R: LocalRule> Simulator<R> {
     fn for_each_last_change(&self, mut f: impl FnMut(usize, Color, Color)) {
         match &self.state {
             StateVec::Generic { .. } => {
-                for &(v, old, new) in self.band_changes.iter().flatten() {
+                for &(v, old, new) in &self.changes {
                     f(v as usize, old, new);
                 }
             }
@@ -570,10 +548,9 @@ impl<R: LocalRule> Simulator<R> {
     /// candidates (last round's changed vertices and their out-neighbours)
     /// are evaluated — unless [`Simulator::with_full_sweep`] is in force,
     /// or the hybrid crossover decides a near-full candidate set is
-    /// cheaper to re-sweep densely.  Results are identical either way, and
-    /// bit-identical at every [`Simulator::set_step_threads`] setting.
+    /// cheaper to re-sweep densely.  Results are identical either way.
     pub fn step(&mut self) -> StepReport {
-        let (changed, (dense_bands, sparse_bands, cells)) = match &mut self.state {
+        let (changed, (dense, cells)) = match &mut self.state {
             StateVec::Planes { lane } => {
                 let flips = lane.step();
                 (flips, lane.last_step_profile())
@@ -587,64 +564,46 @@ impl<R: LocalRule> Simulator<R> {
                 // because a vertex outside the worklist cannot change, so
                 // the dense superset yields the identical change set.
                 let dense = self.worklist.is_full_round() || candidates.len() * 8 >= len * 5;
-                // Band evaluation against the frozen pre-round colours
-                // (one inline band unless `step_threads > 1`): dense
-                // rounds split the vertex range, sparse rounds chunk the
-                // candidate list (the round-stamped dedup already ran when
-                // the list was built, so chunks are disjoint).
-                let ranges = if dense {
-                    band_ranges(len, self.step_threads, 64)
-                } else {
-                    band_ranges(candidates.len(), self.step_threads, 1)
-                };
-                let bands = ranges.len() as u32;
-                let profile = if dense {
-                    (bands, 0, len as u64)
-                } else {
-                    (0, bands, candidates.len() as u64)
-                };
-                self.band_changes.resize_with(ranges.len(), Vec::new);
                 let (rule, adjacency, regular4) = (&self.rule, self.wiring.csr(), self.regular4);
+                // Evaluate against the frozen pre-round colours; the
+                // scratch buffer is allocated lazily, and never on the
+                // 4-regular tori.
                 let frozen: &[Color] = colors;
-                run_bands(&ranges, &mut self.band_changes, |_band, start, end, out| {
-                    out.clear();
-                    // Per-band scratch: lazily allocated, and never
-                    // touched on the 4-regular tori.
-                    let mut scratch: Vec<Color> = Vec::new();
-                    let mut eval = |v: usize| {
-                        let own = frozen[v];
-                        let new = eval_one(rule, adjacency, regular4, frozen, &mut scratch, v);
-                        if new != own {
-                            out.push((v as u32, own, new));
-                        }
-                    };
-                    if dense {
-                        for v in start..end {
-                            eval(v);
-                        }
-                    } else {
-                        for &v in &candidates[start..end] {
-                            eval(v as usize);
-                        }
+                let changes = &mut self.changes;
+                changes.clear();
+                let mut scratch: Vec<Color> = Vec::new();
+                let mut eval = |v: usize| {
+                    let own = frozen[v];
+                    let new = eval_one(rule, adjacency, regular4, frozen, &mut scratch, v);
+                    if new != own {
+                        changes.push((v as u32, own, new));
                     }
-                });
-                // The band-order concatenation of the buffers is the
-                // sequential change order.
-                let changes = self.band_changes.iter().flatten();
+                };
+                let cells = if dense {
+                    for v in 0..len {
+                        eval(v);
+                    }
+                    len
+                } else {
+                    for &v in candidates {
+                        eval(v as usize);
+                    }
+                    candidates.len()
+                };
                 if let Some(hash) = &mut self.generic_hash {
-                    for &(v, old, new) in changes.clone() {
+                    for &(v, old, new) in changes.iter() {
                         *hash ^= zkey(v as usize, old) ^ zkey(v as usize, new);
                     }
                 }
                 // Apply after evaluating everything: synchronous semantics.
-                for &(v, old, new) in changes.clone() {
+                for &(v, old, new) in changes.iter() {
                     colors[v as usize] = new;
                     census.remove(old);
                     census.add(new);
                 }
                 self.worklist.begin_next();
                 if !self.worklist.always_full() {
-                    for &(v, _, _) in changes.clone() {
+                    for &(v, _, _) in changes.iter() {
                         self.worklist.mark(v);
                         for &u in adjacency.neighbors_raw(v as usize) {
                             self.worklist.mark(u);
@@ -652,10 +611,10 @@ impl<R: LocalRule> Simulator<R> {
                     }
                 }
                 self.worklist.finish_round();
-                (changes.count(), profile)
+                (changes.len(), (dense, cells as u64))
             }
         };
-        self.stats.record_round(dense_bands, sparse_bands, cells);
+        self.stats.record_round(dense, cells);
         self.round += 1;
         StepReport {
             changed,

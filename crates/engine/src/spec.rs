@@ -947,27 +947,18 @@ pub struct EngineOptions {
     /// Hard cap on the number of rounds; `0` means automatic
     /// (`4·|V| + 16`).
     pub max_rounds: usize,
-    /// Thread budget for this scenario (`0` = automatic:
-    /// [`crate::sweep::default_threads`]).  Precedence, outermost first:
+    /// Sweep thread budget for this scenario (`0` = automatic:
+    /// [`crate::sweep::default_threads`]), read by
+    /// [`crate::runner::Runner::for_options`]: a batch sweep spends it on
+    /// whole runs.  Every run steps its rounds on one thread, in
+    /// [`crate::runner::Runner::execute`] and in the worker pool
+    /// ([`crate::exec::LocalExecutor`] and the simulation service), where
+    /// a job takes one pool slot, whatever this says: two row bands per
+    /// round lost to one thread on every measured grid up to 4096².
     ///
-    /// 1. A batch sweep ([`crate::runner::Runner::sweep`]) spends the
-    ///    budget on whole runs and steps each run sequentially — outer
-    ///    parallelism wins.
-    /// 2. A single [`crate::runner::Runner::execute`] spends an explicit
-    ///    `threads=N` *inside* the run as band-parallel stepping
-    ///    ([`crate::parallel`]), clamped to the runner's own budget;
-    ///    `auto` steps on one thread at every size, because a fresh pair
-    ///    of band workers per round lost to one thread on the benchmark's
-    ///    1024² and 2048² grids.
-    /// 3. The worker pool ([`crate::exec::LocalExecutor`] and the
-    ///    simulation service) charges a job stepping with `T` threads as
-    ///    `T` pool slots (clamped to idle capacity) and resolves `auto`
-    ///    *pool-aware* — to `1`, because the pool is already saturated
-    ///    with whole jobs.
-    ///
-    /// Stepping is bit-identical at every thread count, so this knob
-    /// never affects an outcome and is excluded from
-    /// [`RunSpec::canonical_key`].
+    /// The knob therefore never affects an outcome and is excluded from
+    /// [`RunSpec::canonical_key`]; spec texts keep it so stored specs
+    /// still load.
     pub threads: usize,
     /// Sampling stride of the execution API's progress events: every
     /// `progress_every`-th round is published as a
@@ -1176,10 +1167,10 @@ impl EngineOptions {
                 other => return Err(bad_options(format!("unknown option {other:?}"))),
             }
         }
-        // A literal `threads=0` is almost always a typo for `threads=auto`;
-        // with the band-parallel plane lane forced it would silently pin
-        // the run the author asked to parallelise to one worker, so the
-        // combination is rejected rather than reinterpreted.
+        // A literal `threads=0` beside a forced plane lane has always been
+        // rejected as a probable typo for `threads=auto`.  The knob no
+        // longer changes how a run steps, but the rejection stays, so that
+        // every spec text accepted or rejected before is still so.
         if literal_zero_threads && options.lane == LaneSpec::Planes {
             return Err(bad_options(
                 "threads=0 with lane=planes: write threads=auto for the default, or threads=N",
